@@ -68,16 +68,6 @@ def parse_seq(literal: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _positive_int(literal: str) -> int:
-    try:
-        v = int(literal)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {literal!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
-    return v
-
-
 def _bounded_int(literal: str) -> int:
     try:
         v = int(literal)
@@ -144,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=parse_set)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    sp.add_argument("--threads", type=_positive_int, default=1)
     sp.add_argument("--debug-checks", action="store_true")
 
     sp = sub.add_parser("decompose", help="slice all qualifying monoids by gcd divisor")
@@ -152,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=parse_set)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--threads", type=_positive_int, default=1)
     sp.add_argument("--debug-checks", action="store_true")
 
     mab = sub.add_parser("mab", help="purchase/adjustment sequence model")
@@ -284,9 +272,7 @@ def _dispatch(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
 
     if cmd == "tree":
-        tree = enumerate_tree(
-            ns.c, ns.x, _bound_from(ns), threads=ns.threads, debug=ns.debug_checks
-        )
+        tree = enumerate_tree(ns.c, ns.x, _bound_from(ns), debug=ns.debug_checks)
         if ns.format == "json":
             print(tree.to_json())
         elif ns.format == "dot":
@@ -296,9 +282,7 @@ def _dispatch(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
 
     if cmd == "decompose":
-        dec = decompose(
-            ns.c, ns.x, _bound_from(ns), threads=ns.threads, debug=ns.debug_checks
-        )
+        dec = decompose(ns.c, ns.x, _bound_from(ns), debug=ns.debug_checks)
         if ns.format == "json":
             _print_json(
                 {
@@ -339,8 +323,9 @@ def _dispatch(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 brute_force_family(ns.c, ns.max_frobenius)
             )
         else:
+            closure = closure_msg(ns.x, ns.c)
             ok = all(
-                closure_membership(ns.x, ns.c, n) == closure_msg(ns.x, ns.c).member(n)
+                closure_membership(ns.x, ns.c, n) == closure.member(n)
                 for n in range(ns.bound + 1)
             )
         print(f"verified: {_bool_text(ok)}")

@@ -11,9 +11,11 @@ Conventions:
   can produce it (closure of an empty seed set, the divisor report) say
   so with an explicit marker instead of smuggling an empty list through.
 * A numerical semigroup (gcd of the generators equal to 1, hence finite
-  complement in N) carries its minimal generators, Frobenius number, gap
-  set, and a membership table for [0, frobenius + 1].  For N itself the
-  Frobenius number is -1 and the gap set is empty.
+  complement in N) carries its minimal generators, Frobenius number and
+  gap set.  The gap set is one Python int whose bit v is set iff v is a
+  gap, so membership is a bit test and removing a generator x above the
+  Frobenius number is `gap_bits | 1 << x`.  For N itself the Frobenius
+  number is -1 and the gap set is 0.
 * Inputs are capped at 2**31 in absolute value so that sums of a handful
   of elements stay inside machine range wherever these values end up
   serialized or ported.
@@ -22,7 +24,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import GcdNotOne, InternalInvariant, InvalidGenerators, ValueOutOfRange
@@ -32,6 +35,15 @@ MAX_INPUT = 2**31
 # one-shot membership queries above this build the Frobenius-bounded
 # table instead of a table up to n itself
 _TABLE_CEILING = 1_000_000
+
+# bytes.translate tables between 0/1 membership bytes and binary digits
+_GAP_DIGITS = bytes.maketrans(b"\x00\x01", b"10")
+_MEMBER_BYTES = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _bitmask(values: Iterable[int]) -> int:
+    """The int with bit v set for each v in values (non-negative, distinct)."""
+    return sum(map((1).__lshift__, values))
 
 
 def _check_ints(values: Iterable[int], what: str) -> None:
@@ -62,10 +74,17 @@ class GenSet:
                 "a generating set needs at least one element; "
                 "the trivial monoid {0} is represented explicitly by its callers"
             )
-        _check_ints(elems, "generators")
+        # screen at C level; the per-element loop runs only to name the
+        # first offending value, or to admit int subclasses other than bool
+        if (
+            set(map(type, elems)) != {int}
+            or min(elems) < -MAX_INPUT
+            or max(elems) > MAX_INPUT
+        ):
+            _check_ints(elems, "generators")
         if elems[0] < 1:
             raise InvalidGenerators(f"generators must be >= 1, got {elems[0]}")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        if not all(map(operator.lt, elems, elems[1:])):
             raise InvalidGenerators(
                 "generators must be strictly increasing; "
                 "use monoid_from_generators to sort and deduplicate"
@@ -169,40 +188,37 @@ def msg(gens: GenSet | Iterable[int]) -> GenSet:
 
 @dataclass(frozen=True, eq=False)
 class NumericalSemigroup:
-    """A cofinite submonoid of (N, +): minimal generators plus gap data.
+    """A cofinite submonoid of (N, +): minimal generators plus a gap bitset.
 
-    member_table covers [0, frobenius + 1]; every larger integer is a
-    member by definition of the Frobenius number.  For N itself the
-    Frobenius number is -1 and the table is the single entry for 0.
-    Equality and hashing go through the minimal generators, which
-    determine the semigroup.
+    Bit v of gap_bits is set iff v is a gap, so the Frobenius number is
+    gap_bits.bit_length() - 1 and every larger integer is a member.  For
+    N itself gap_bits is 0 and the Frobenius number is -1.  gen_bits is
+    the same kind of mask for the minimal generators, computed once at
+    construction.  gaps, member_table (bytes over [0, frobenius + 1]) and
+    genus are derived from gap_bits on demand.  Equality and hashing go
+    through the minimal generators, which determine the semigroup.
     """
 
     msg: GenSet
     frobenius: int
-    gaps: tuple[int, ...]
-    member_table: bytes
+    gap_bits: int
+    gen_bits: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        expect = self.gaps[-1] if self.gaps else -1
-        if self.frobenius != expect:
+        gaps = self.gap_bits
+        if self.frobenius != gaps.bit_length() - 1:
             raise InternalInvariant(
                 f"frobenius {self.frobenius} does not match gap set {self.gaps}"
             )
-        if len(self.member_table) != self.frobenius + 2:
-            raise InternalInvariant("member_table must cover [0, frobenius + 1]")
-        zeros = tuple(v for v in range(len(self.member_table)) if not self.member_table[v])
-        if zeros != self.gaps:
-            raise InternalInvariant("member_table disagrees with the gap set")
-        if set(self.msg.elements) & set(self.gaps):
+        if gaps & 1:
+            raise InternalInvariant("0 is a member of every monoid, not a gap")
+        gens = _bitmask(self.msg.elements)
+        if gens & gaps:
             raise InternalInvariant("a minimal generator cannot be a gap")
+        object.__setattr__(self, "gen_bits", gens)
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n > self.frobenius:
-            return True
-        return bool(self.member_table[n])
+        return n >= 0 and not self.gap_bits >> n & 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericalSemigroup):
@@ -213,8 +229,19 @@ class NumericalSemigroup:
         return hash(self.msg.elements)
 
     @property
+    def gaps(self) -> tuple[int, ...]:
+        """The gaps in ascending order."""
+        return tuple(i for i, ch in enumerate(bin(self.gap_bits)[:1:-1]) if ch == "1")
+
+    @property
+    def member_table(self) -> bytes:
+        """Entry v is 1 iff v is a member, for v in [0, frobenius + 1]."""
+        digits = format(self.gap_bits, "b").zfill(self.frobenius + 2)
+        return digits[::-1].encode().translate(_MEMBER_BYTES)
+
+    @property
     def genus(self) -> int:
-        return len(self.gaps)
+        return self.gap_bits.bit_count()
 
     @property
     def multiplicity(self) -> int:
@@ -234,6 +261,8 @@ def numerical_semigroup(gens: GenSet | Iterable[int]) -> NumericalSemigroup:
     The membership table is grown until a run of multiplicity-many
     consecutive members appears; everything at or beyond that run is a
     member, so the last non-member before it is the Frobenius number.
+    The table up to there, reversed and read as binary digits, is the
+    gap bitset.
     """
     g = _as_genset(gens)
     d = gcd_of(g)
@@ -243,22 +272,15 @@ def numerical_semigroup(gens: GenSet | Iterable[int]) -> NumericalSemigroup:
     elems = mg.elements
     m = elems[0]
     if m == 1:
-        return NumericalSemigroup(mg, -1, (), bytes((1,)))
+        return NumericalSemigroup(mg, -1, 0)
     limit = 2 * elems[-1]
+    run = b"\x01" * m
     while True:
         table = _member_table(elems, limit)
-        streak = 0
-        edge = None
-        for v in range(limit + 1):
-            if table[v]:
-                streak += 1
-                if streak == m:
-                    edge = v - m + 1
-                    break
-            else:
-                streak = 0
-        if edge is not None:
-            gaps = tuple(v for v in range(1, edge) if not table[v])
-            frob = gaps[-1] if gaps else -1
-            return NumericalSemigroup(mg, frob, gaps, bytes(table[: frob + 2]))
+        edge = table.find(run)
+        if edge != -1:
+            # m > 1 makes 1 a gap, so a gap precedes the run
+            frob = table.rfind(0, 0, edge)
+            gap_bits = int(table[frob::-1].translate(_GAP_DIGITS), 2)
+            return NumericalSemigroup(mg, frob, gap_bits)
         limit *= 2

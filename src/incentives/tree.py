@@ -24,6 +24,11 @@ The minimal generators after removing x come from a closed form: for
 candidate new generator is x + m, needed exactly when no other
 non-multiplicity generator n_j has x + m - n_j inside the parent.
 
+Nodes are NumericalSemigroup records on gap bitsets: the child's gap set
+is the parent's with bit x set, and the viability and removal tests are
+bit tests on the parent's gap and generator masks.  Traversal is
+breadth-first in one thread.
+
 brute_force_family is the independent oracle: it enumerates candidate
 gap sets directly and keeps the complements that are addition-closed
 and honour C.  Tests pin the tree enumeration against it.
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -47,7 +51,7 @@ from .errors import (
     NotAdmissible,
     RootMissesX,
 )
-from .monoid import GenSet, NumericalSemigroup, numerical_semigroup
+from .monoid import GenSet, NumericalSemigroup, _bitmask, numerical_semigroup
 
 MAX_FROBENIUS = "max_frobenius"
 MAX_GENUS = "max_genus"
@@ -187,8 +191,7 @@ def max_numerical_incentive(c: IncentiveSpec | Iterable[int]) -> NumericalSemigr
 
 
 def _check_removal(sg: NumericalSemigroup, x: int) -> None:
-    elems = sg.msg.elements
-    if x not in elems:
+    if not (isinstance(x, int) and x > 0 and sg.gen_bits >> x & 1):
         raise InvalidRemoval(f"{x} is not a minimal generator of {sg}")
     if x <= sg.frobenius:
         raise InvalidRemoval(
@@ -210,9 +213,16 @@ def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
     if x == m:
         # x > frobenius forces the parent to be {0, m, ->} here
         return GenSet(tuple(range(m + 1, 2 * m + 2)))
-    if any(nj != x and (x + m - nj) in sg for nj in elems[1:]):
-        return GenSet(tuple(g for g in elems if g != x))
-    return GenSet(tuple(sorted([g for g in elems if g != x] + [x + m])))
+    i = elems.index(x)
+    rest = elems[:i] + elems[i + 1 :]
+    # every generator is at most frobenius + m < x + m, so x + m - n_j is
+    # positive and x + m sorts last
+    gaps = sg.gap_bits
+    top = x + m
+    for nj in rest[1:]:
+        if not gaps >> (top - nj) & 1:
+            return GenSet(rest)
+    return GenSet(rest + (top,))
 
 
 def child_viable(
@@ -230,16 +240,15 @@ def child_viable(
     """
     spec = _as_spec(c)
     _check_removal(sg, x)
-    elems = sg.msg.elements
-    m = elems[0]
+    m = sg.msg.elements[0]
     fast = -m not in spec.c_set and x != m
     if fast:
-        allowed = set(elems)
+        allowed = sg.gen_bits
     else:
-        allowed = set(msg_after_removal(sg, x).elements)
+        allowed = _bitmask(msg_after_removal(sg, x).elements)
     verdict = _viability_scan(sg, x, spec, allowed)
     if debug and fast:
-        slow = _viability_scan(sg, x, spec, set(msg_after_removal(sg, x).elements))
+        slow = _viability_scan(sg, x, spec, _bitmask(msg_after_removal(sg, x).elements))
         if slow != verdict:
             raise InternalInvariant(
                 f"fast and general viability disagree for {sg} minus {x} under {spec}"
@@ -247,32 +256,27 @@ def child_viable(
     return verdict
 
 
-def _viability_scan(
-    sg: NumericalSemigroup, x: int, spec: IncentiveSpec, allowed: set[int]
-) -> bool:
+def _viability_scan(sg: NumericalSemigroup, x: int, spec: IncentiveSpec, allowed: int) -> bool:
+    """Is every positive x - cc a gap of the parent, a bit of allowed, or x itself?"""
+    ok = sg.gap_bits | allowed | 1 << x
     for cc in spec.c_set:
         v = x - cc
-        if v == x or v == 0:
-            continue
-        if v in sg and v not in allowed:
+        if v > 0 and not ok >> v & 1:
             return False
     return True
 
 
 def _child_semigroup(sg: NumericalSemigroup, x: int, debug: bool = False) -> NumericalSemigroup:
     after = msg_after_removal(sg, x)
-    table = bytearray(sg.member_table)
-    table.extend(b"\x01" * (x + 2 - len(table)))
-    table[x] = 0
-    child = NumericalSemigroup(after, x, sg.gaps + (x,), bytes(table))
+    child = NumericalSemigroup(after, x, sg.gap_bits | 1 << x)
     if debug:
-        scratch = numerical_semigroup(after)
+        rebuilt = numerical_semigroup(after)
         if (
-            scratch.msg.elements != child.msg.elements
-            or scratch.frobenius != child.frobenius
-            or scratch.gaps != child.gaps
+            rebuilt.msg.elements != child.msg.elements
+            or rebuilt.frobenius != child.frobenius
+            or rebuilt.gap_bits != child.gap_bits
         ):
-            raise InternalInvariant(f"incremental child {child} disagrees with rebuild {scratch}")
+            raise InternalInvariant(f"incremental child {child} disagrees with rebuild {rebuilt}")
     return child
 
 
@@ -302,7 +306,6 @@ def enumerate_tree(
     c: IncentiveSpec | Iterable[int],
     x_set: Iterable[int] | None,
     bound: EnumerationBound,
-    threads: int = 1,
     debug: bool = False,
 ) -> IncentiveTree:
     """Breadth-first tree of numerical semigroups honouring c, under a bound.
@@ -310,8 +313,7 @@ def enumerate_tree(
     With x_set given, only semigroups containing it are enumerated (its
     elements are never removed), after checking admissibility and that
     the root actually contains it.  Children are visited in ascending
-    removed-generator order, so node ids are deterministic; threads > 1
-    expands each level in a pool with the same final ordering.
+    removed-generator order, so node ids are deterministic.
     """
     spec = _as_spec(c)
     xs: tuple[int, ...] | None = None
@@ -334,16 +336,9 @@ def enumerate_tree(
     tree.nodes.append(root)
     frontier = [root]
     while frontier:
-        if threads > 1 and len(frontier) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batches = list(
-                    pool.map(lambda nd: children(nd.semigroup, spec, xs, debug), frontier)
-                )
-        else:
-            batches = [children(nd.semigroup, spec, xs, debug) for nd in frontier]
         next_frontier = []
-        for node, batch in zip(frontier, batches):
-            for x, child_sg in batch:
+        for node in frontier:
+            for x, child_sg in children(node.semigroup, spec, xs, debug):
                 if not bound.admits(child_sg, node.depth + 1):
                     tree.truncated = True
                     continue
@@ -391,7 +386,6 @@ def decompose(
     c: IncentiveSpec | Iterable[int],
     x_set: Iterable[int] | None,
     bound: EnumerationBound,
-    threads: int = 1,
     debug: bool = False,
 ) -> Decomposition:
     """Slice the family of monoids honouring c by the divisor of their gcd.
@@ -412,13 +406,14 @@ def decompose(
         raise DomainError(
             "every monoid honours this constraint set; give a seed set to pin down a gcd"
         )
-    divisors = [d for d in range(1, g + 1) if g % d == 0]
+    small = [d for d in range(1, math.isqrt(g) + 1) if g % d == 0]
+    divisors = small + [g // d for d in reversed(small) if d * d != g]
     trees: dict[int, IncentiveTree] = {}
     for d in divisors:
         c_d = IncentiveSpec(tuple(v // d for v in spec.c_set))
         xs_d = tuple(v // d for v in xs) if xs else xs
         try:
-            trees[d] = enumerate_tree(c_d, xs_d, bound, threads=threads, debug=debug)
+            trees[d] = enumerate_tree(c_d, xs_d, bound, debug=debug)
         except RootMissesX:
             trees[d] = IncentiveTree(c_d.c_set, xs_d, bound)
     return Decomposition(trees, includes_trivial=not xs)
@@ -459,13 +454,8 @@ def _all_numerical_semigroups(max_frobenius: int) -> tuple[NumericalSemigroup, .
         for v in range(1, 2 * mf + 2):
             if member(v) and not any(member(a) and member(v - a) for a in range(1, v // 2 + 1)):
                 gens.append(v)
-        gaps = tuple(v for v in range(1, mf + 1) if not table[v])
-        frob = gaps[-1] if gaps else -1
-        found.append(
-            NumericalSemigroup(
-                GenSet(tuple(gens)), frob, gaps, bytes(table[: frob + 1]) + b"\x01"
-            )
-        )
+        gap_bits = bits << 1  # table[v] is 0 iff bit v - 1 of bits is set
+        found.append(NumericalSemigroup(GenSet(tuple(gens)), gap_bits.bit_length() - 1, gap_bits))
     found.sort(key=lambda sg: (sg.genus, sg.msg.elements))
     return tuple(found)
 

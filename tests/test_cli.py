@@ -185,10 +185,23 @@ def test_output_is_deterministic():
         assert cli(*argv) == cli(*argv)
 
 
-def test_threads_flag_accepted():
-    a = cli("tree", "--c=-1,1", "--max-frobenius=8", "--threads=4", "--format=json")
-    b = cli("tree", "--c=-1,1", "--max-frobenius=8", "--format=json")
-    assert a == b
+def test_verify_closure_agreement_builds_closure_once(monkeypatch):
+    import incentives.cli as cli_mod
+
+    calls = []
+    real = cli_mod.closure_msg
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "closure_msg", counting)
+    assert cli("verify", "closure-agreement", "--c=-3,2", "--x=5", "--bound=200") == (
+        0,
+        "verified: true\n",
+        "",
+    )
+    assert len(calls) == 1
 
 
 def test_debug_checks_flag():

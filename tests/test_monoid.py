@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from incentives import (
     GcdNotOne,
     GenSet,
+    InternalInvariant,
     InvalidGenerators,
+    NumericalSemigroup,
+    ValueOutOfRange,
     gcd_of,
     membership,
     monoid_from_generators,
@@ -147,6 +150,44 @@ def test_semigroup_construction_consistent(gens):
     assert list(sg.msg.elements) == oracle_msg(gens)
     for n in range(sg.frobenius + 2 + max(gens)):
         assert (n in sg) == (n in members)
+
+
+@given(st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=5))
+@settings(max_examples=100)
+def test_gap_bitset_views_match_oracle(gens):
+    from math import gcd
+
+    if gcd(*gens) != 1:
+        return
+    sg = numerical_semigroup(gens)
+    f = sg.frobenius
+    members = oracle_members(sorted(gens), f + 1)
+    assert sg.gaps == tuple(v for v in range(f + 2) if v not in members)
+    assert sg.member_table == bytes(v in members for v in range(f + 2))
+    assert sg.genus == f + 2 - len(members)
+    assert sg.gap_bits == sum(1 << v for v in sg.gaps)
+
+
+def test_numerical_semigroup_invariant_checks():
+    gens = GenSet((2, 3))
+    assert NumericalSemigroup(gens, 1, 0b10).gaps == (1,)
+    with pytest.raises(InternalInvariant):
+        NumericalSemigroup(gens, 3, 0b1010)  # generator 3 is a gap
+    with pytest.raises(InternalInvariant):
+        NumericalSemigroup(gens, 2, 0b10)  # frobenius is 1, not 2
+    with pytest.raises(InternalInvariant):
+        NumericalSemigroup(gens, 1, 0b11)  # 0 is a gap
+
+
+def test_genset_validation_messages():
+    with pytest.raises(InvalidGenerators, match="plain integers, got True"):
+        GenSet((1, True))
+    with pytest.raises(InvalidGenerators, match="plain integers, got 2.0"):
+        GenSet((1, 2.0))
+    with pytest.raises(ValueOutOfRange, match="got 2147483649"):
+        GenSet((3, 2**31 + 1))
+    with pytest.raises(ValueOutOfRange, match="got -2147483649"):
+        GenSet((-(2**31) - 1, 3))
 
 
 def test_str_renderings():

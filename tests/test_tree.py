@@ -222,14 +222,19 @@ def test_restricted_tree_matches_filtered_brute_force():
         assert {n.semigroup.msg.elements for n in tree.nodes} == want, (cs, xs)
 
 
-def test_tree_thread_count_does_not_change_result():
-    one = enumerate_tree({-1, 1}, None, EnumerationBound(MAX_FROBENIUS, 9))
-    four = enumerate_tree({-1, 1}, None, EnumerationBound(MAX_FROBENIUS, 9), threads=4)
-    rows = lambda t: [
-        (n.node_id, n.semigroup.msg.elements, n.removed_generator, n.depth)
-        for n in t.nodes
-    ]
-    assert rows(one) == rows(four)
+# OEIS A007323: numerical semigroups of genus g, g = 0..15
+A007323 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857)
+
+
+def test_unconstrained_tree_genus_counts_match_a007323():
+    # C = {0} constrains nothing, so the tree holds every numerical semigroup
+    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 15))
+    counts = [0] * 16
+    for n in tree.nodes:
+        counts[n.semigroup.genus] += 1
+    assert tuple(counts) == A007323
+    assert tree.node_count == 6964
+    assert tree.truncated
 
 
 def test_tree_errors():
@@ -331,6 +336,18 @@ def test_decompose_with_seeds():
     assert dec.trees[1].node_count == 0  # 2 lies outside <4,5,6,7>
     assert dec.trees[2].node_count == 1  # N itself, and 1 can never be removed
     assert dec.trees[2].root.semigroup.msg.elements == (1,)
+
+
+def test_decompose_many_divisors():
+    # 96996900 = 2^2 * 3 * 5^2 * 7 * 11 * 13 * 17 * 19 has 3*2*3*2**5 = 576 divisors
+    g = 96996900
+    dec = decompose((g,), None, EnumerationBound(MAX_GENUS, 0))
+    divisors = list(dec.trees)
+    assert len(divisors) == 576
+    assert divisors == sorted(divisors)
+    assert divisors[0] == 1 and divisors[-1] == g
+    assert all(g % d == 0 for d in divisors)
+    assert all(t.node_count == 1 and t.truncated for t in dec.trees.values())
 
 
 def test_decompose_errors():
