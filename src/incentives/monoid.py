@@ -54,7 +54,7 @@ def _check_ints(values: Iterable[int], what: str) -> None:
             raise ValueOutOfRange(f"{what} are capped at 2**31 in magnitude, got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenSet:
     """Sorted, deduplicated, non-empty positive generators of a submonoid.
 
@@ -186,7 +186,7 @@ def msg(gens: GenSet | Iterable[int]) -> GenSet:
     return GenSet(keep)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class NumericalSemigroup:
     """A cofinite submonoid of (N, +): minimal generators plus a gap bitset.
 

@@ -105,12 +105,31 @@ def m_ab_membership(model: SequenceModel, n: int) -> bool:
 
 
 def m_ab_set(model: SequenceModel, bound: int) -> list[int]:
-    """All invoice totals in [0, bound], plus 0, ascending."""
+    """All invoice totals in [0, bound], plus 0, ascending.
+
+    A total of p prices and p - 1 adjustments is one price plus p - 1
+    price/adjustment pairs.  Each pair is at least min(a_set) +
+    min(b_set) >= 0, pairs equal to 0 drop out, and any such choice can
+    be laid out alternately.  So the totals are 0 and a_set + <P>, where
+    P holds the positive pair sums (the prices among them, paired with
+    the 0 adjustment); both are built as bitsets on [0, bound].
+    """
     if bound < 0:
         return []
-    shifts = tuple(v for v in model.b_set if v)
-    profile = _slack_profile(model.a_set, shifts, _profile_cap(max(bound, 1)))
-    return [0] + [v for v in range(1, bound + 1) if profile[v] >= 1]
+    mask = (1 << (bound + 1)) - 1
+    pairs = sorted({a + b for a in model.a_set for b in model.b_set} - {0})
+    generated = 1
+    for g in pairs:
+        # doubling steps reach every multiple of g up to bound
+        step = g
+        while step <= bound:
+            generated = (generated | generated << step) & mask
+            step <<= 1
+    totals = 1
+    for a in model.a_set:
+        totals |= generated << a
+    digits = bin(totals & mask)[:1:-1]
+    return [v for v, ch in enumerate(digits) if ch == "1"]
 
 
 def verify_theorem5(model: SequenceModel, bound: int) -> bool:

@@ -26,8 +26,21 @@ non-multiplicity generator n_j has x + m - n_j inside the parent.
 
 Nodes are NumericalSemigroup records on gap bitsets: the child's gap set
 is the parent's with bit x set, and the viability and removal tests are
-bit tests on the parent's gap and generator masks.  Traversal is
-breadth-first in one thread.
+bit tests on the parent's gap and generator masks.  Semigroups, their
+generator sets and tree nodes are slotted records.
+
+Traversal is breadth-first in one thread, and the enumeration bound is
+settled from the parent before a child is built: the child's Frobenius
+number is x, its genus is the parent's plus one and its depth the
+parent's plus one.  Along the ascending scan of x that verdict can only
+turn from admitted to rejected, so the scan stops at the first viable x
+the bound rejects (that child only marks the tree truncated), and once
+the tree is known to be truncated it stops at the first rejected x
+without testing viability.  A frontier node whose children all lie past
+a genus or depth bound therefore costs nothing once truncation is known.
+The root's Frobenius number and genus (theta - 1 for {0, theta, ->},
+-1 and 0 for N) are known before the root is built, so a bound that
+excludes the root returns an empty tree without allocating it.
 
 brute_force_family is the independent oracle: it enumerates candidate
 gap sets directly and keeps the complements that are addition-closed
@@ -59,6 +72,10 @@ MAX_DEPTH = "max_depth"
 _BOUND_KINDS = (MAX_FROBENIUS, MAX_GENUS, MAX_DEPTH)
 
 BRUTE_FORCE_CEILING = 18
+# largest threshold whose root {0, theta, ->} is built: its theta
+# generators and their bit mask take about 0.2 s at 2**16, growing
+# quadratically beyond
+ROOT_THETA_CEILING = 2**16
 
 
 @dataclass(frozen=True)
@@ -77,23 +94,28 @@ class EnumerationBound:
     def __post_init__(self) -> None:
         if self.kind not in _BOUND_KINDS:
             raise DomainError(f"unknown bound kind {self.kind!r}")
-        if self.value is not None and (not isinstance(self.value, int) or self.value < 0):
-            raise DomainError("bound value must be a non-negative integer or None")
+        v = self.value
+        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
+            raise DomainError("bound value must be a non-negative plain integer or None")
 
-    def admits(self, sg: NumericalSemigroup, depth: int) -> bool:
+    def allows(self, frobenius: int, genus: int, depth: int) -> bool:
+        """Does the bound admit a node with this Frobenius number, genus and depth?"""
         if self.value is None:
             return True
         if self.kind == MAX_FROBENIUS:
-            return sg.frobenius <= self.value
+            return frobenius <= self.value
         if self.kind == MAX_GENUS:
-            return sg.genus <= self.value
+            return genus <= self.value
         return depth <= self.value
+
+    def admits(self, sg: NumericalSemigroup, depth: int) -> bool:
+        return self.allows(sg.frobenius, sg.genus, depth)
 
     def __str__(self) -> str:
         return f"{self.kind}={'none' if self.value is None else self.value}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TreeNode:
     semigroup: NumericalSemigroup
     parent: "TreeNode | None"
@@ -111,6 +133,9 @@ class IncentiveTree:
     bound: EnumerationBound
     nodes: list[TreeNode] = field(default_factory=list)
     truncated: bool = False
+    # parent -> children, built by children_of for the first len(nodes) nodes
+    _kids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kids_size: int = field(default=-1, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -125,7 +150,14 @@ class IncentiveTree:
         return self.nodes[0] if self.nodes else None
 
     def children_of(self, node: TreeNode) -> list[TreeNode]:
-        return [n for n in self.nodes if n.parent is node]
+        """The node's children in id order, from an index rebuilt when nodes grows."""
+        if self._kids_size != len(self.nodes):
+            kids: dict = {}
+            for n in self.nodes:
+                if n.parent is not None:
+                    kids.setdefault(n.parent, []).append(n)
+            self._kids, self._kids_size = kids, len(self.nodes)
+        return list(self._kids.get(node, ()))
 
     @property
     def leaves(self) -> list[TreeNode]:
@@ -181,13 +213,19 @@ def max_numerical_incentive(c: IncentiveSpec | Iterable[int]) -> NumericalSemigr
     """The largest numerical semigroup honouring the constraint set.
 
     N itself when every adjustment is >= -2; otherwise {0, theta, ->},
-    whose minimal generators are theta, ..., 2*theta - 1.
+    whose minimal generators are theta, ..., 2*theta - 1.  Raises
+    BoundTooLarge, before allocating, when theta exceeds
+    ROOT_THETA_CEILING.
     """
-    spec = _as_spec(c)
-    if all(v >= -2 for v in spec.c_set):
-        return numerical_semigroup((1,))
-    th = spec.theta
-    return numerical_semigroup(tuple(range(th, 2 * th)))
+    th = _as_spec(c).theta
+    if th <= 2:
+        return NumericalSemigroup(GenSet((1,)), -1, 0)
+    if th > ROOT_THETA_CEILING:
+        raise BoundTooLarge(
+            f"the root {{0, {th}, ->}} needs {th} generators; "
+            f"theta is capped at {ROOT_THETA_CEILING}"
+        )
+    return NumericalSemigroup(GenSet(tuple(range(th, 2 * th))), th - 1, (1 << th) - 2)
 
 
 def _check_removal(sg: NumericalSemigroup, x: int) -> None:
@@ -313,7 +351,10 @@ def enumerate_tree(
     With x_set given, only semigroups containing it are enumerated (its
     elements are never removed), after checking admissibility and that
     the root actually contains it.  Children are visited in ascending
-    removed-generator order, so node ids are deterministic.
+    removed-generator order, so node ids are deterministic.  The bound is
+    settled from each parent before a child is built (see the module
+    docstring); with debug=True every viable child is built anyway and
+    the bound's verdict on it must match the one settled from its parent.
     """
     spec = _as_spec(c)
     xs: tuple[int, ...] | None = None
@@ -321,32 +362,63 @@ def enumerate_tree(
         xs = _clean_seed(x_set)
         if not is_admissible(xs, spec):
             raise NotAdmissible(f"no monoid honouring {spec} contains {set(xs)}")
-    root_sg = max_numerical_incentive(spec)
-    if xs:
-        missing = [v for v in xs if v not in root_sg]
+    # the root's numbers are known without building it: N, or {0, theta, ->}
+    th = spec.theta
+    if th <= 2:
+        root_frobenius, root_genus = -1, 0
+    else:
+        root_frobenius = root_genus = th - 1
+        missing = [v for v in xs or () if v < th]
         if missing:
             raise RootMissesX(
-                f"{missing} lie outside {root_sg}, the largest numerical candidate for {spec}"
+                f"{missing} lie outside {{0, {th}, ->}}, "
+                f"the largest numerical candidate for {spec}"
             )
     tree = IncentiveTree(spec.c_set, xs, bound)
-    if not bound.admits(root_sg, 0):
+    if not bound.allows(root_frobenius, root_genus, 0):
         tree.truncated = True
         return tree
-    root = TreeNode(root_sg, None, None, 0, 0)
-    tree.nodes.append(root)
-    frontier = [root]
+    nodes = tree.nodes
+    nodes.append(TreeNode(max_numerical_incentive(spec), None, None, 0, 0))
+    required = set(xs or ())
+    allows = bound.allows
+    frontier = nodes[:]
     while frontier:
         next_frontier = []
         for node in frontier:
-            for x, child_sg in children(node.semigroup, spec, xs, debug):
-                if not bound.admits(child_sg, node.depth + 1):
-                    tree.truncated = True
+            sg = node.semigroup
+            genus, depth = _child_numbers(node)
+            for x in sg.msg.elements:
+                if x <= sg.frobenius or x in required:
                     continue
-                child = TreeNode(child_sg, node, x, node.depth + 1, len(tree.nodes))
-                tree.nodes.append(child)
-                next_frontier.append(child)
+                # the child's Frobenius number is x, so fits can only turn
+                # from True to False as x grows
+                fits = allows(x, genus, depth)
+                if not fits and tree.truncated and not debug:
+                    break
+                if not child_viable(sg, x, spec, debug=debug):
+                    continue
+                if not fits:
+                    tree.truncated = True
+                    if not debug:
+                        break
+                child_sg = _child_semigroup(sg, x, debug)
+                if debug and bound.admits(child_sg, depth) != fits:
+                    raise InternalInvariant(
+                        f"bound {bound} settled {child_sg} (= {sg} minus {x}) as "
+                        f"{'admitted' if fits else 'rejected'} from its parent"
+                    )
+                if fits:
+                    child = TreeNode(child_sg, node, x, depth, len(nodes))
+                    nodes.append(child)
+                    next_frontier.append(child)
         frontier = next_frontier
     return tree
+
+
+def _child_numbers(node: TreeNode) -> tuple[int, int]:
+    """Genus and depth of every child of node (a child's Frobenius number is its x)."""
+    return node.semigroup.genus + 1, node.depth + 1
 
 
 def is_finite_family(c: IncentiveSpec | Iterable[int], x_set: Iterable[int]) -> bool:

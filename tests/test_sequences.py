@@ -84,6 +84,21 @@ def test_totals_match_sequence_enumeration():
         assert m_ab_set(model, bound) == want, (model.a_set, model.b_set)
 
 
+@st.composite
+def _models(draw):
+    a = draw(st.sets(st.integers(1, 30), min_size=1, max_size=4))
+    b = draw(st.sets(st.integers(-min(a), 12), max_size=3))
+    return SequenceModel.of(a, b | {0})
+
+
+@given(_models(), st.integers(-1, 600))
+@settings(max_examples=150, deadline=None)
+def test_totals_agree_with_slack_membership(model, bound):
+    # m_ab_set builds pair-sum bitsets; m_ab_membership searches the slack table
+    want = [n for n in range(bound + 1) if m_ab_membership(model, n)]
+    assert m_ab_set(model, bound) == want
+
+
 def test_invoice_totals_are_members():
     m = SequenceModel.of({4, 7}, {-2, 0, 1})
     for seq in ([4], [7, -2, 4], [4, 1, 4, -2, 7], [7, 1, 7]):

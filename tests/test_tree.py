@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+import incentives.tree as tree_mod
 from incentives import (
     MAX_DEPTH,
     MAX_FROBENIUS,
@@ -9,6 +11,7 @@ from incentives import (
     BoundTooLarge,
     DomainError,
     EnumerationBound,
+    InternalInvariant,
     NotAdmissible,
     RootMissesX,
     InvalidRemoval,
@@ -34,6 +37,39 @@ def test_max_numerical_incentive():
     assert max_numerical_incentive({-1}).msg.elements == (1,)
     assert max_numerical_incentive({1}).msg.elements == (1,)
     assert max_numerical_incentive({-9}).msg.elements == tuple(range(9, 18))
+    # the root is built directly; it must equal the generic construction
+    for th in range(3, 40):
+        root = max_numerical_incentive({-th})
+        rebuilt = numerical_semigroup(range(th, 2 * th))
+        assert (root.msg.elements, root.frobenius, root.gap_bits) == (
+            rebuilt.msg.elements,
+            rebuilt.frobenius,
+            rebuilt.gap_bits,
+        )
+        assert root.frobenius == root.genus == th - 1
+    naturals = max_numerical_incentive({-2})
+    assert (naturals.frobenius, naturals.genus, naturals.gap_bits) == (-1, 0, 0)
+
+
+def test_root_bound_settled_before_building():
+    # {0, 2**31, ->} has 2**31 generators; only the guards keep these fast
+    start = time.perf_counter()
+    empty = enumerate_tree((-2**31,), None, EnumerationBound(MAX_GENUS, 5))
+    assert empty.node_count == 0 and empty.truncated
+    assert enumerate_tree((-2**31,), None, EnumerationBound(MAX_FROBENIUS, 9)).truncated
+    with pytest.raises(BoundTooLarge):
+        max_numerical_incentive((-2**31,))
+    with pytest.raises(BoundTooLarge):
+        max_numerical_incentive((-tree_mod.ROOT_THETA_CEILING - 1,))
+    with pytest.raises(BoundTooLarge):
+        enumerate_tree((-2**31,), None, EnumerationBound(MAX_GENUS, None))
+    with pytest.raises(RootMissesX):
+        enumerate_tree((-2**31,), (2**30,), EnumerationBound(MAX_GENUS, None))
+    # slices d = 2**k with root genus 2**(31-k) - 1 <= 5 are built, the rest are cut
+    dec = decompose((-2**31,), None, EnumerationBound(MAX_GENUS, 5))
+    assert len(dec.trees) == 32
+    assert [d for d, t in dec.trees.items() if t.node_count] == [2**29, 2**30, 2**31]
+    assert time.perf_counter() - start < 1.0
 
 
 KNOWN_REMOVALS = {
@@ -247,6 +283,9 @@ def test_tree_errors():
         EnumerationBound("max_weight", 3)
     with pytest.raises(DomainError):
         EnumerationBound(MAX_GENUS, -1)
+    for flag in (True, False):
+        with pytest.raises(DomainError):
+            EnumerationBound(MAX_GENUS, flag)
 
 
 def test_bound_truncation():
@@ -377,3 +416,125 @@ def test_brute_force_members_are_incentives():
     for m, sg in fam.items():
         assert sg.msg.elements == m
         assert is_incentive(m, (-3, 2))
+
+
+def test_children_of_index_matches_parent_links():
+    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 15))
+    assert tree.node_count >= 5000
+    want = {n.node_id: [] for n in tree.nodes}
+    for n in tree.nodes:
+        if n.parent is not None:
+            want[n.parent.node_id].append(n.node_id)
+    for n in tree.nodes:
+        kids = tree.children_of(n)
+        assert [k.node_id for k in kids] == want[n.node_id]
+        assert all(k.parent is n for k in kids)
+    # the index follows nodes appended after it was built
+    root = tree.root
+    extra = tree_mod.TreeNode(root.semigroup, root, None, 1, tree.node_count)
+    tree.nodes.append(extra)
+    assert tree.children_of(root)[-1] is extra
+    outsider = tree_mod.TreeNode(root.semigroup, None, None, 0, -1)
+    assert tree.children_of(outsider) == []
+
+
+def test_records_are_slotted():
+    node = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 3)).nodes[-1]
+    for record in (node, node.semigroup, node.semigroup.msg):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def _reference_tree(cs, xs, bound):
+    """Build every viable child with children() and keep those bound.admits."""
+    root = max_numerical_incentive(cs)
+    if not bound.admits(root, 0):
+        return [], True
+    rows = [(root.msg.elements, None, None)]
+    truncated = False
+    frontier = [(root, 0, 0)]
+    while frontier:
+        nxt = []
+        for sg, node_id, depth in frontier:
+            for x, child in children(sg, cs, xs):
+                if not bound.admits(child, depth + 1):
+                    truncated = True
+                    continue
+                rows.append((child.msg.elements, node_id, x))
+                nxt.append((child, len(rows) - 1, depth + 1))
+        frontier = nxt
+    return rows, truncated
+
+
+def _rows(tree):
+    return [
+        (
+            n.semigroup.msg.elements,
+            n.parent.node_id if n.parent else None,
+            n.removed_generator,
+        )
+        for n in tree.nodes
+    ]
+
+
+BOUND_CASES = [
+    EnumerationBound(kind, value)
+    for kind, values in (
+        (MAX_FROBENIUS, (0, 4, 12)),
+        (MAX_GENUS, (0, 3, 10)),
+        (MAX_DEPTH, (0, 2, 7)),
+    )
+    for value in values
+]
+TREE_CASES = [
+    ((0,), None),
+    ((-3, 2), None),
+    ((5,), None),
+    ((-7, 3), None),
+    ((-5, 1, 4), None),
+    ((-3, 2), (5,)),
+    ((-4, 6), (4, 9)),
+    ((-1, 1), (2, 7)),
+    ((-2,), (3,)),
+]
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_bound_settled_from_parent_matches_reference(debug):
+    for bound in BOUND_CASES + [EnumerationBound(MAX_GENUS, None)]:
+        for cs, xs in TREE_CASES:
+            if bound.value is None and not xs:
+                continue  # an infinite family
+            tree = enumerate_tree(cs, xs, bound, debug=debug)
+            rows, truncated = _reference_tree(cs, xs, bound)
+            assert (_rows(tree), tree.truncated) == (rows, truncated), (bound, cs, xs)
+            assert [n.node_id for n in tree.nodes] == list(range(len(rows)))
+        for cs, xs in [((-4, 6), None), ((-6, 9), None), ((-4, 6), (2,)), ((-12, 18), (6,))]:
+            if bound.value is None and not xs:
+                continue
+            for d, tree in decompose(cs, xs, bound, debug=debug).trees.items():
+                cs_d = tuple(v // d for v in cs)
+                xs_d = tuple(v // d for v in xs) if xs else xs
+                if xs_d and any(v not in max_numerical_incentive(cs_d) for v in xs_d):
+                    rows, truncated = [], False  # an empty slice
+                else:
+                    rows, truncated = _reference_tree(cs_d, xs_d, bound)
+                assert (_rows(tree), tree.truncated) == (rows, truncated), (bound, cs, xs, d)
+
+
+@pytest.mark.parametrize(
+    "bound, mutated",
+    [
+        # forgets that a child's genus is one more than its parent's
+        (EnumerationBound(MAX_GENUS, 6), lambda node: (node.semigroup.genus, node.depth + 1)),
+        # rejects children the bound admits
+        (EnumerationBound(MAX_GENUS, 6), lambda node: (node.semigroup.genus + 2, node.depth + 1)),
+    ],
+)
+def test_debug_catches_a_mutated_bound_check(monkeypatch, bound, mutated):
+    cs = (-3, 2)
+    want = _reference_tree(cs, None, bound)
+    monkeypatch.setattr(tree_mod, "_child_numbers", mutated)
+    wrong = enumerate_tree(cs, None, bound)
+    assert (_rows(wrong), wrong.truncated) != want
+    with pytest.raises(InternalInvariant):
+        enumerate_tree(cs, None, bound, debug=True)
