@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import IO
@@ -40,35 +41,8 @@ from .tree import (
 )
 
 
-def parse_set(literal: str) -> tuple[int, ...]:
-    """Comma-separated integers -> sorted deduplicated tuple."""
-    vals = set()
-    for tok in literal.split(","):
-        try:
-            v = int(tok.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {tok.strip()!r}")
-        if abs(v) > MAX_INPUT:
-            raise argparse.ArgumentTypeError(f"magnitude above 2**31: {v}")
-        vals.add(v)
-    return tuple(sorted(vals))
-
-
-def parse_seq(literal: str) -> tuple[int, ...]:
-    """Comma-separated integers kept in order with repeats (for sequences)."""
-    out = []
-    for tok in literal.split(","):
-        try:
-            v = int(tok.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {tok.strip()!r}")
-        if abs(v) > MAX_INPUT:
-            raise argparse.ArgumentTypeError(f"magnitude above 2**31: {v}")
-        out.append(v)
-    return tuple(out)
-
-
 def _bounded_int(literal: str) -> int:
+    """One integer token of magnitude at most 2**31; every integer argument parses through it."""
     try:
         v = int(literal)
     except ValueError:
@@ -76,6 +50,16 @@ def _bounded_int(literal: str) -> int:
     if abs(v) > MAX_INPUT:
         raise argparse.ArgumentTypeError(f"magnitude above 2**31: {v}")
     return v
+
+
+def parse_seq(literal: str) -> tuple[int, ...]:
+    """Comma-separated integers kept in order with repeats (for sequences)."""
+    return tuple(_bounded_int(tok.strip()) for tok in literal.split(","))
+
+
+def parse_set(literal: str) -> tuple[int, ...]:
+    """Comma-separated integers -> sorted deduplicated tuple."""
+    return tuple(sorted(set(parse_seq(literal))))
 
 
 def _nonneg_int(literal: str) -> int:
@@ -100,7 +84,13 @@ def _bound_from(ns: argparse.Namespace) -> EnumerationBound:
     return EnumerationBound(MAX_GENUS, ns.max_genus if ns.max_genus is not None else 20)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process and shared by every caller.
+
+    Parsing leaves it unchanged. Do not modify the returned parser (``set_defaults``,
+    ``add_argument``, ``prog``): the change would carry into every later ``run``.
+    """
     p = argparse.ArgumentParser(
         prog="incentives",
         description="Monoids of invoice totals under adjustment constraints.",
@@ -128,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gens", type=parse_set)
     sp.add_argument("--c", type=parse_set)
     sp.add_argument("--x", type=parse_set)
+    sp.set_defaults(usage_error=sp.error)
 
     sp = sub.add_parser("tree", help="tree of numerical semigroups honouring --c")
     sp.add_argument("--c", type=parse_set, required=True)
@@ -213,31 +204,26 @@ def _closure_json(r: ClosureResult) -> dict:
     }
 
 
-def _tree_text(tree: IncentiveTree) -> str:
-    kids: dict[int, list] = {}
-    for n in tree.nodes[1:]:
-        kids.setdefault(id(n.parent), []).append(n)
+def _tree_lines(tree: IncentiveTree) -> list[str]:
     lines = []
-    if tree.root is not None:
-        stack = [(tree.root, 0)]
-        while stack:
-            n, depth = stack.pop()
-            sg = n.semigroup
-            label = f"{sg} frobenius={sg.frobenius} genus={sg.genus}"
-            if n.removed_generator is not None:
-                label = f"remove {n.removed_generator} -> {label}"
-            lines.append("  " * depth + label)
-            for child in reversed(kids.get(id(n), [])):
-                stack.append((child, depth + 1))
+    stack = [] if tree.root is None else [(tree.root, 0)]
+    while stack:
+        n, depth = stack.pop()
+        sg = n.semigroup
+        x = n.removed_generator
+        head = "" if x is None else f"remove {x} -> "
+        lines.append(f"{'  ' * depth}{head}{sg.msg} frobenius={sg.frobenius} genus={sg.genus}")
+        for child in reversed(tree.children_of(n)):
+            stack.append((child, depth + 1))
     lines.append(f"nodes={tree.node_count} truncated={_bool_text(tree.truncated)}")
-    return "\n".join(lines)
+    return lines
 
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _dispatch(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _dispatch(ns: argparse.Namespace) -> int:
     cmd = ns.command
 
     if cmd == "theta":
@@ -263,11 +249,11 @@ def _dispatch(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if cmd == "membership":
         if ns.gens is not None:
             if ns.c is not None or ns.x is not None:
-                parser.error("membership takes either --gens or --c with --x, not both")
+                ns.usage_error("membership takes either --gens or --c with --x, not both")
             print(_bool_text(membership(ns.gens, ns.n)))
         else:
             if ns.c is None or ns.x is None:
-                parser.error("membership needs --gens, or --c together with --x")
+                ns.usage_error("membership needs --gens, or --c together with --x")
             print(_bool_text(closure_membership(ns.x, ns.c, ns.n)))
         return 0
 
@@ -278,7 +264,7 @@ def _dispatch(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         elif ns.format == "dot":
             print(tree.to_dot(), end="")
         else:
-            print(_tree_text(tree))
+            print("\n".join(_tree_lines(tree)))
         return 0
 
     if cmd == "decompose":
@@ -291,11 +277,11 @@ def _dispatch(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 }
             )
         else:
-            print(f"includes trivial monoid: {_bool_text(dec.includes_trivial)}")
+            lines = [f"includes trivial monoid: {_bool_text(dec.includes_trivial)}"]
             for d in sorted(dec.trees):
-                print(f"divisor {d}:")
-                for line in _tree_text(dec.trees[d]).splitlines():
-                    print("  " + line)
+                lines.append(f"divisor {d}:")
+                lines.extend(["  " + line for line in _tree_lines(dec.trees[d])])
+            print("\n".join(lines))
         return 0
 
     if cmd == "mab":
@@ -331,7 +317,7 @@ def _dispatch(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"verified: {_bool_text(ok)}")
         return 0 if ok else 1
 
-    parser.error(f"unknown command {cmd!r}")
+    build_parser().error(f"unknown command {cmd!r}")
     return 2
 
 
@@ -346,7 +332,7 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         try:
-            return _dispatch(ns, parser)
+            return _dispatch(ns)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         except DomainError as exc:

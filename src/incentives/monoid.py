@@ -97,7 +97,7 @@ class GenSet:
         return len(self.elements)
 
     def __str__(self) -> str:
-        return "⟨" + ",".join(str(g) for g in self.elements) + "⟩"
+        return "⟨" + ",".join([str(g) for g in self.elements]) + "⟩"
 
 
 def monoid_from_generators(gens: Iterable[int]) -> GenSet:

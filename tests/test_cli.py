@@ -1,10 +1,17 @@
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from incentives import EnumerationBound, MAX_DEPTH, enumerate_tree
 from incentives.cli import build_parser, parse_seq, parse_set, run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def cli(*argv):
@@ -86,6 +93,19 @@ def test_usage_errors_exit_2():
     assert cli("tree", "--c=-2", "--max-genus=3", "--max-depth=1")[0] == 2
     assert cli("nonsense")[0] == 2
     assert cli()[0] == 2
+
+
+def test_membership_usage_error_names_the_subcommand():
+    for argv in (
+        ("membership", "--n=4"),
+        ("membership", "--n=4", "--gens=2,3", "--c=-1"),
+        ("membership", "--n=4", "--gens=2,3", "--x=5"),
+    ):
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: incentives membership ")
+        assert lines[-1].startswith("incentives membership: error: membership ")
 
 
 def test_membership_command():
@@ -215,3 +235,74 @@ def test_build_parser_smoke():
     assert ns.command == "closure"
     assert ns.c == (-3, 2)
     assert ns.x == (5,)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_answers_like_its_first_call():
+    commands = [
+        ("closure", "--c=abc", "--x=3"),
+        ("membership", "--n=4"),
+        ("tree", "--c=-2", "--max-genus=3", "--max-depth=1"),
+        ("nonsense",),
+        (),
+        ("closure", "--c=-4", "--x=3"),
+        ("mab", "invoice", "--a=5,7", "--b=-3,0", "--seq=5,4,7"),
+        ("theta", "--c=-3,2"),
+        ("closure", "--c=-3,2", "--x=5,7,9,11"),
+        ("closure", "--c=-3,2", "--x=5", "--format=json"),
+        ("membership", "--gens=5,7,9", "--n=14"),
+        ("membership", "--c=-3,2", "--x=5", "--n=8"),
+        ("tree", "--c=-3,2", "--x=5", "--max-depth=10"),
+        ("tree", "--c=-4,6", "--max-genus=4", "--format=dot"),
+        ("decompose", "--c=-4,6", "--max-genus=4"),
+        ("mab", "set", "--a=5,7,9,11", "--b=-3,0,2", "--bound=14"),
+    ]
+    first = {argv: cli(*argv) for argv in commands}
+    assert {first[argv][0] for argv in commands} == {0, 1, 2}
+    order = commands * 3
+    random.Random(4).shuffle(order)
+    for argv in order:
+        assert cli(*argv) == first[argv], argv
+
+
+def test_defaults_do_not_leak_between_calls():
+    assert cli("tree", "--c=-3,2", "--x=5", "--format=json")[1].startswith("{")
+    code, out, _ = cli("tree", "--c=-3,2", "--x=5")
+    assert code == 0
+    assert out.splitlines()[0] == "⟨3,4,5⟩ frobenius=2 genus=2"
+    # 8 is in <2,3> but not in the closure of {5} under {-3,2}
+    assert cli("membership", "--gens=2,3", "--n=8")[1] == "true\n"
+    assert cli("membership", "--c=-3,2", "--x=5", "--n=8") == (0, "false\n", "")
+    assert cli("closure", "--c=-3,2", "--x=5", "--format=json")[1].startswith("{")
+    assert cli("closure", "--c=-3,2", "--x=5,7,9,11")[1].startswith("msg: ")
+    # a bound flag of one call is not the bound of the next
+    assert cli("tree", "--c=-3,2", "--max-depth=1")[1].endswith("nodes=3 truncated=true\n")
+    assert cli("tree", "--c=-3,2", "--max-genus=2")[1].endswith("nodes=1 truncated=true\n")
+
+def _module_run(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "incentives.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        cwd=ROOT,
+    )
+
+
+def test_module_entry_point_uses_real_streams():
+    proc = _module_run("theta", "--c=-3,2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n", "")
+    proc = _module_run("closure", "--c=-4", "--x=3")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    proc = _module_run("theta", "--c=-3,2", "--bogus")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --bogus" in proc.stderr

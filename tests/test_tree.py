@@ -438,6 +438,26 @@ def test_children_of_index_matches_parent_links():
     assert tree.children_of(outsider) == []
 
 
+def test_node_by_msg_finds_every_node():
+    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 9))
+    assert tree.node_count == 274
+    for n in tree.nodes:
+        gens = n.semigroup.msg.elements
+        assert tree.node_by_msg(gens) is n
+        assert tree.node_by_msg(reversed(gens)) is n
+    # genus 10 lies past the bound; a repeated generator is no msg
+    for miss in (range(11, 22), (3, 3, 4, 5), ()):
+        assert tree.node_by_msg(miss) is None
+    # appended nodes are found, and a repeated msg answers with its first node
+    root = tree.root
+    twin = tree_mod.TreeNode(root.semigroup, root, None, 1, tree.node_count)
+    tree.nodes.append(twin)
+    assert tree.node_by_msg(root.semigroup.msg.elements) is root
+    new = tree_mod.TreeNode(numerical_semigroup(range(11, 22)), root, None, 1, tree.node_count)
+    tree.nodes.append(new)
+    assert tree.node_by_msg(range(11, 22)) is new
+
+
 def test_records_are_slotted():
     node = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 3)).nodes[-1]
     for record in (node, node.semigroup, node.semigroup.msg):
