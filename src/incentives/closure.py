@@ -17,9 +17,13 @@ The offset threshold theta = -min(C ∪ {0}) rules the geometry.  Every
 monoid honouring C either lives inside {0, theta, theta+1, ...} or is
 exactly the multiples of theta/2, and the multiples of theta/2 qualify
 only when every adjustment is such a multiple with factor >= -2.  That
-dichotomy is what is_admissible checks, and it makes the two outer
-branches of closure_msg exclusive: a seed set with an element below the
-threshold can only close up to the multiples of theta/2.
+dichotomy is what _admitted checks, and it splits _reduced, the one
+reduction in front of both engines, into two exclusive cases.  Seeds
+below the threshold close up to theta/2 times N, and otherwise the gcd d
+of seeds and adjustments divides out, leaving seeds and adjustments whose
+closure is numerical (it holds every seed x and every 2x + c); either way
+the closure is scale times that numerical closure.  Below the reduction
+the two engines share nothing.
 
 Zero adjustments are inert (dropped up front): a monoid honours C exactly
 when it honours C minus {0}.  The constraint set {0} therefore becomes
@@ -30,22 +34,19 @@ closure of a seed set is just the monoid it generates.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import (
-    InternalInvariant,
-    InvalidGenerators,
-    NotAdmissible,
-    ValueOutOfRange,
-)
+from .errors import InternalInvariant, InvalidGenerators, NotAdmissible
 from .monoid import (
-    MAX_INPUT,
     GenSet,
     NumericalSemigroup,
     _as_genset,
+    _check_ints,
+    _int_set,
     _member_table,
     monoid_from_generators,
     msg,
@@ -76,19 +77,14 @@ class IncentiveSpec:
         if not isinstance(self.c_set, tuple):
             object.__setattr__(self, "c_set", tuple(self.c_set))
         cs = self.c_set
-        for a, b in zip(cs, cs[1:]):
-            if a >= b:
-                raise InvalidGenerators("adjustments must be strictly increasing; use IncentiveSpec.of")
-        for v in cs:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidGenerators(f"adjustments must be plain integers, got {v!r}")
-            if abs(v) > MAX_INPUT:
-                raise ValueOutOfRange(f"adjustments are capped at 2**31 in magnitude, got {v}")
+        _check_ints(cs, "adjustments")
+        if not all(map(operator.lt, cs, cs[1:])):
+            raise InvalidGenerators("adjustments must be strictly increasing; use IncentiveSpec.of")
         object.__setattr__(self, "theta", -min(cs + (0,)))
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IncentiveSpec":
-        vals = tuple(sorted(set(values)))
+        vals = _int_set(values, "adjustments")
         if not vals:
             raise InvalidGenerators("a constraint set needs at least one adjustment")
         return cls(vals)
@@ -109,20 +105,9 @@ def theta(c: IncentiveSpec | Iterable[int]) -> int:
 def strip_zero(c: IncentiveSpec | Iterable[int]) -> IncentiveSpec:
     """Drop the inert zero adjustment; {0} becomes the no-constraint marker."""
     spec = _as_spec(c)
+    if 0 not in spec.c_set:
+        return spec
     return IncentiveSpec(tuple(v for v in spec.c_set if v != 0))
-
-
-def _clean_seed(x_set: Iterable[int]) -> tuple[int, ...]:
-    """Normalize a seed set: require non-negative integers, drop zeros."""
-    xs = sorted(set(x_set))
-    for v in xs:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InvalidGenerators(f"seed elements must be plain integers, got {v!r}")
-        if abs(v) > MAX_INPUT:
-            raise ValueOutOfRange(f"seed elements are capped at 2**31, got {v}")
-    if xs and xs[0] < 0:
-        raise InvalidGenerators(f"seed elements must be non-negative, got {xs[0]}")
-    return tuple(v for v in xs if v)
 
 
 def is_incentive(gens: GenSet | Iterable[int], c: IncentiveSpec | Iterable[int]) -> bool:
@@ -163,6 +148,25 @@ def half_theta_is_incentive(c: IncentiveSpec | Iterable[int]) -> bool:
     return all(v % half == 0 and v // half >= -2 for v in spec.c_set)
 
 
+def _admitted(x_set: Iterable[int], spec: IncentiveSpec) -> tuple[int, ...]:
+    """Normalize a seed set, or raise NotAdmissible when no monoid honouring spec contains it.
+
+    Normalizing requires non-negative integers and drops zeros.  Every
+    entry point that takes seeds goes through here once; the
+    admissibility rule is is_admissible's.
+    """
+    xs = _int_set(x_set, "seed elements")
+    if xs and xs[0] < 0:
+        raise InvalidGenerators(f"seed elements must be non-negative, got {xs[0]}")
+    xs = tuple(v for v in xs if v)
+    th = spec.theta
+    if xs and xs[0] < th:
+        half = th // 2
+        if not (half_theta_is_incentive(spec) and all(v % half == 0 for v in xs)):
+            raise NotAdmissible(f"no monoid honouring {spec} contains {set(xs)}")
+    return xs
+
+
 def is_admissible(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> bool:
     """Is there any submonoid honouring the constraints that contains the seeds?
 
@@ -171,17 +175,27 @@ def is_admissible(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> boo
     the seeds must lie at or above the threshold, or fit inside the
     multiples of theta/2 while those multiples themselves qualify.
     """
-    spec = _as_spec(c)
-    xs = _clean_seed(x_set)
-    if not xs:
-        return True
-    th = spec.theta
-    if xs[0] >= th:
-        return True
-    if not half_theta_is_incentive(spec):
+    try:
+        _admitted(x_set, _as_spec(c))
+    except NotAdmissible:
         return False
-    half = th // 2
-    return all(v % half == 0 for v in xs)
+    return True
+
+
+def _reduced(
+    xs: tuple[int, ...], spec: IncentiveSpec
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(scale, seeds, adjustments) whose numerical closure, times scale, is the closure asked for.
+
+    xs must be admitted and non-empty.  Seeds below the threshold give
+    (theta/2, (1,), ()); otherwise the gcd of seeds and adjustments is
+    divided out (math.gcd ignores signs).
+    """
+    th = spec.theta
+    if xs[0] < th:
+        return th // 2, (1,), ()
+    d = math.gcd(*xs, *spec.c_set)
+    return d, tuple(x // d for x in xs), tuple(v // d for v in spec.c_set)
 
 
 @dataclass(frozen=True)
@@ -212,54 +226,41 @@ class ClosureResult:
         return (n // self.scale) in self.semigroup
 
 
-def closure_msg(
-    x_set: Iterable[int],
-    c: IncentiveSpec | Iterable[int],
-    iteration_cap: int = ITERATION_CAP,
-) -> ClosureResult:
+def closure_msg(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> ClosureResult:
     """Minimal generators of the smallest monoid honouring c that contains x_set.
 
-    Dispatch order: empty seed set -> trivial; a seed below the threshold
-    -> the multiples of theta/2 (the only candidate, by admissibility); a
-    common divisor d of seeds and adjustments -> solve at scale 1/d and
-    scale back; otherwise the generating-set fixpoint.  Each fixpoint
-    round adjoins {pair sum + c} for previously unseen pair sums of the
-    current minimal generators and re-minimizes; the round count is capped
-    because a bound on rounds is not obvious, but in practice small seeds
-    stabilize within a handful of rounds.
+    An empty seed set gives the trivial closure.  Otherwise _reduced turns
+    the problem into a numerical one at some scale, the generating-set
+    fixpoint solves that, and the result is scaled back.
     """
     spec = strip_zero(_as_spec(c))
-    xs = _clean_seed(x_set)
-    if not is_admissible(xs, spec):
-        raise NotAdmissible(f"no monoid honouring {spec} contains {set(xs)}")
+    xs = _admitted(x_set, spec)
     if not xs:
         return ClosureResult(TRIVIAL, 1, None, None)
-    th = spec.theta
-    if xs[0] < th:
-        half = th // 2
-        if half == 1:
-            return ClosureResult(NUMERICAL, 1, GenSet((1,)), numerical_semigroup((1,)))
-        return ClosureResult(MULTIPLE, half, GenSet((half,)), numerical_semigroup((1,)))
-    d = math.gcd(*xs, *(abs(v) for v in spec.c_set))
-    if d > 1:
-        inner = closure_msg(
-            tuple(x // d for x in xs),
-            IncentiveSpec(tuple(v // d for v in spec.c_set)),
-            iteration_cap,
-        )
-        if inner.kind != NUMERICAL:
-            raise InternalInvariant("reduced closure must be numerical after dividing out the gcd")
-        scaled = GenSet(tuple(g * d for g in inner.msg.elements))
-        return ClosureResult(MULTIPLE, d, scaled, inner.semigroup)
+    scale, xs, cs = _reduced(xs, spec)
+    ns = _fixpoint(xs, cs)
+    if scale == 1:
+        return ClosureResult(NUMERICAL, 1, ns.msg, ns)
+    scaled = GenSet(tuple(g * scale for g in ns.msg.elements))
+    return ClosureResult(MULTIPLE, scale, scaled, ns)
 
+
+def _fixpoint(xs: tuple[int, ...], cs: tuple[int, ...]) -> NumericalSemigroup:
+    """The numerical closure of reduced seeds xs under adjustments cs.
+
+    Each round adjoins {pair sum + c} for previously unseen pair sums of
+    the current minimal generators and re-minimizes; the round count is
+    capped because a bound on rounds is not obvious, but in practice
+    small seeds stabilize within a handful of rounds.
+    """
     y = msg(GenSet(xs)).elements
     seen_sums: set[int] = set()
-    for _ in range(iteration_cap):
+    for _ in range(ITERATION_CAP):
         sums = {a + b for i, a in enumerate(y) for b in y[i:]}
         new_sums = sums - seen_sums
         z = set(y)
         for e in new_sums:
-            for cc in spec.c_set:
+            for cc in cs:
                 v = e + cc
                 if v < 0:
                     raise InternalInvariant(
@@ -269,13 +270,17 @@ def closure_msg(
                     z.add(v)
         new_y = msg(monoid_from_generators(z)).elements
         if new_y == y:
+            if math.gcd(*y) != 1:
+                raise InternalInvariant(
+                    "reduced closure must be numerical after dividing out the gcd"
+                )
             ns = numerical_semigroup(GenSet(y))
             if ns.msg.elements != y:
                 raise InternalInvariant("fixpoint generators are not minimal")
-            return ClosureResult(NUMERICAL, 1, ns.msg, ns)
+            return ns
         y = new_y
         seen_sums |= new_sums
-    raise InternalInvariant(f"closure fixpoint did not stabilize within {iteration_cap} rounds")
+    raise InternalInvariant(f"closure fixpoint did not stabilize within {ITERATION_CAP} rounds")
 
 
 # largest membership target answered by the reachability table; beyond it
@@ -345,34 +350,21 @@ def _slack_profile(adds: tuple[int, ...], shifts: tuple[int, ...], cap: int) -> 
 def closure_membership(x_set: Iterable[int], c: IncentiveSpec | Iterable[int], n: int) -> bool:
     """Membership of n in the smallest closure, without computing generators.
 
-    n (non-zero) belongs iff it is a sum of seed elements and adjustments
-    with strictly more seed elements than adjustments; the reachability
-    table from _slack_profile answers that directly.  Seeds below the
-    threshold reduce to divisibility by theta/2, and a common divisor of
-    seeds and adjustments is divided out first.
+    After _reduced, n (non-zero) must be a multiple of the scale, and
+    n / scale belongs iff it is a sum of reduced seeds and adjustments
+    with strictly more seeds than adjustments; the reachability table
+    from _slack_profile answers that directly, and the fixpoint answers
+    above _DP_CEILING, where a table of n entries costs more.
     """
+    _check_ints((n,), "membership targets")
     spec = strip_zero(_as_spec(c))
-    xs = _clean_seed(x_set)
-    if not is_admissible(xs, spec):
-        raise NotAdmissible(f"no monoid honouring {spec} contains {set(xs)}")
-    if n < 0:
+    xs = _admitted(x_set, spec)
+    if n <= 0 or not xs:
+        return n == 0
+    scale, xs, cs = _reduced(xs, spec)
+    if n % scale:
         return False
-    if n == 0:
-        return True
-    if not xs:
-        return False
-    th = spec.theta
-    if xs[0] < th:
-        return n % (th // 2) == 0
-    cs = spec.c_set
-    d = math.gcd(*xs, *(abs(v) for v in cs))
-    if d > 1:
-        if n % d:
-            return False
-        xs = tuple(x // d for x in xs)
-        cs = tuple(v // d for v in cs)
-        n //= d
+    n //= scale
     if n > _DP_CEILING:
-        return closure_msg(xs, IncentiveSpec(cs)).member(n)
-    profile = _slack_profile(xs, cs, _profile_cap(n))
-    return profile[n] >= 1
+        return n in _fixpoint(xs, cs)
+    return _slack_profile(xs, cs, _profile_cap(n))[n] >= 1

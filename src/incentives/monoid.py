@@ -46,12 +46,32 @@ def _bitmask(values: Iterable[int]) -> int:
     return sum(map((1).__lshift__, values))
 
 
-def _check_ints(values: Iterable[int], what: str) -> None:
+def _check_ints(values: tuple[int, ...], what: str, error: type = InvalidGenerators) -> None:
+    """The one integer check: error on a bool or non-int, ValueOutOfRange above 2**31."""
+    # screen at C level; the per-element loop runs only to name the
+    # first offending value, or to admit int subclasses other than bool
+    if (
+        set(map(type, values)) == {int}
+        and min(values) >= -MAX_INPUT
+        and max(values) <= MAX_INPUT
+    ):
+        return
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
-            raise InvalidGenerators(f"{what} must be plain integers, got {v!r}")
+            raise error(f"{what} must be plain integers, got {v!r}")
         if abs(v) > MAX_INPUT:
             raise ValueOutOfRange(f"{what} are capped at 2**31 in magnitude, got {v}")
+
+
+def _int_set(values: Iterable[int], what: str, error: type = InvalidGenerators) -> tuple[int, ...]:
+    """Validate raw integers with _check_ints, then sort and deduplicate them.
+
+    Validating first keeps True from merging into 1 and a non-integer
+    from reaching the sort.
+    """
+    vals = tuple(values)
+    _check_ints(vals, what, error)
+    return tuple(sorted(set(vals)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,14 +94,7 @@ class GenSet:
                 "a generating set needs at least one element; "
                 "the trivial monoid {0} is represented explicitly by its callers"
             )
-        # screen at C level; the per-element loop runs only to name the
-        # first offending value, or to admit int subclasses other than bool
-        if (
-            set(map(type, elems)) != {int}
-            or min(elems) < -MAX_INPUT
-            or max(elems) > MAX_INPUT
-        ):
-            _check_ints(elems, "generators")
+        _check_ints(elems, "generators")
         if elems[0] < 1:
             raise InvalidGenerators(f"generators must be >= 1, got {elems[0]}")
         if not all(map(operator.lt, elems, elems[1:])):
@@ -102,10 +115,10 @@ class GenSet:
 
 def monoid_from_generators(gens: Iterable[int]) -> GenSet:
     """Sort, deduplicate, and validate raw generators."""
-    elems = sorted(set(gens))
+    elems = _int_set(gens, "generators")
     if not elems:
         raise InvalidGenerators("at least one generator is required")
-    return GenSet(tuple(elems))
+    return GenSet(elems)
 
 
 def _as_genset(gens: GenSet | Iterable[int]) -> GenSet:
@@ -142,6 +155,7 @@ def membership(gens: GenSet | Iterable[int], n: int) -> bool:
     outright when d does not divide n).
     """
     g = _as_genset(gens)
+    _check_ints((n,), "membership targets")
     if n < 0:
         return False
     if n == 0:

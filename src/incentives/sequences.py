@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .closure import IncentiveSpec, _profile_cap, _slack_profile, closure_msg, strip_zero
-from .errors import InvalidModel, InvalidSequence, ValueOutOfRange
-from .monoid import MAX_INPUT
+from .closure import IncentiveSpec, closure_membership, closure_msg
+from .errors import InvalidModel, InvalidSequence
+from .monoid import _check_ints, _int_set
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,7 @@ class SequenceModel:
             if not isinstance(vals, tuple):
                 object.__setattr__(self, name, tuple(vals))
         a, b = self.a_set, self.b_set
-        for v in a + b:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidModel(f"model entries must be plain integers, got {v!r}")
-            if abs(v) > MAX_INPUT:
-                raise ValueOutOfRange(f"model entries are capped at 2**31, got {v}")
+        _check_ints(a + b, "model entries", InvalidModel)
         if not a or a[0] < 1:
             raise InvalidModel("a_set needs at least one positive price")
         if any(x >= y for x, y in zip(a, a[1:])) or any(x >= y for x, y in zip(b, b[1:])):
@@ -56,7 +52,7 @@ class SequenceModel:
 
     @classmethod
     def of(cls, a_set: Iterable[int], b_set: Iterable[int]) -> "SequenceModel":
-        return cls(tuple(sorted(set(a_set))), tuple(sorted(set(b_set))))
+        return cls(*(_int_set(vals, "model entries", InvalidModel) for vals in (a_set, b_set)))
 
 
 def is_ab_sequence(model: SequenceModel, xs: Sequence[int]) -> bool:
@@ -91,17 +87,13 @@ def m_ab_membership(model: SequenceModel, n: int) -> bool:
 
     A multiset of p prices and p - 1 adjustments can always be arranged
     alternately, so membership is a counting question: n must be a sum
-    using exactly one more price than adjustments.  The reachability
-    table accepts best slack >= 1, which is the same thing here because
-    padding with the 0 adjustment lowers any larger slack to exactly 1.
+    using exactly one more price than adjustments.  closure_membership
+    accepts any surplus of prices, which is the same thing here because
+    padding with the 0 adjustment lowers any larger surplus to exactly 1.
+    So the totals are the smallest closure of a_set under b_set minus
+    zero (Theorem 5), and closure's membership engine answers.
     """
-    if n < 0:
-        return False
-    if n == 0:
-        return True
-    shifts = tuple(v for v in model.b_set if v)
-    profile = _slack_profile(model.a_set, shifts, _profile_cap(n))
-    return profile[n] >= 1
+    return closure_membership(model.a_set, IncentiveSpec(tuple(v for v in model.b_set if v)), n)
 
 
 def m_ab_set(model: SequenceModel, bound: int) -> list[int]:
@@ -114,6 +106,7 @@ def m_ab_set(model: SequenceModel, bound: int) -> list[int]:
     P holds the positive pair sums (the prices among them, paired with
     the 0 adjustment); both are built as bitsets on [0, bound].
     """
+    _check_ints((bound,), "bounds")
     if bound < 0:
         return []
     mask = (1 << (bound + 1)) - 1
@@ -138,7 +131,7 @@ def verify_theorem5(model: SequenceModel, bound: int) -> bool:
     Compares m_ab_set against the membership of closure_msg(a_set, b_set
     minus zero); the two engines share no code beyond the model itself.
     """
-    result = closure_msg(model.a_set, strip_zero(IncentiveSpec.of(model.b_set)))
+    result = closure_msg(model.a_set, model.b_set)
     totals = set(m_ab_set(model, bound))
     closure_members = {v for v in range(bound + 1) if result.member(v)}
     return totals == closure_members

@@ -55,13 +55,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .closure import IncentiveSpec, _as_spec, _clean_seed, is_admissible, is_incentive
+from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive
 from .errors import (
     BoundTooLarge,
     DomainError,
     InternalInvariant,
     InvalidRemoval,
-    NotAdmissible,
     RootMissesX,
 )
 from .monoid import GenSet, NumericalSemigroup, _bitmask, numerical_semigroup
@@ -357,11 +356,7 @@ def enumerate_tree(
     the bound's verdict on it must match the one settled from its parent.
     """
     spec = _as_spec(c)
-    xs: tuple[int, ...] | None = None
-    if x_set is not None:
-        xs = _clean_seed(x_set)
-        if not is_admissible(xs, spec):
-            raise NotAdmissible(f"no monoid honouring {spec} contains {set(xs)}")
+    xs = None if x_set is None else _admitted(x_set, spec)
     # the root's numbers are known without building it: N, or {0, theta, ->}
     th = spec.theta
     if th <= 2:
@@ -432,12 +427,10 @@ def is_finite_family(c: IncentiveSpec | Iterable[int], x_set: Iterable[int]) -> 
     sit inside the root.
     """
     spec = _as_spec(c)
-    xs = _clean_seed(x_set)
+    xs = _admitted(x_set, spec)
     if not xs:
         raise DomainError("is_finite_family needs a non-empty seed set")
-    if not is_admissible(xs, spec):
-        raise NotAdmissible(f"no monoid honouring {spec} contains {set(xs)}")
-    return math.gcd(*xs, *(abs(v) for v in spec.c_set)) == 1
+    return math.gcd(*xs, *spec.c_set) == 1
 
 
 @dataclass
@@ -468,12 +461,8 @@ def decompose(
     that slice of the family is empty.
     """
     spec = _as_spec(c)
-    xs: tuple[int, ...] | None = None
-    if x_set is not None:
-        xs = _clean_seed(x_set)
-        if not is_admissible(xs, spec):
-            raise NotAdmissible(f"no monoid honouring {spec} contains {set(xs)}")
-    g = math.gcd(*(abs(v) for v in spec.c_set), *(xs or ()))
+    xs = None if x_set is None else _admitted(x_set, spec)
+    g = math.gcd(*spec.c_set, *(xs or ()))
     if g == 0:
         raise DomainError(
             "every monoid honours this constraint set; give a seed set to pin down a gcd"

@@ -12,6 +12,7 @@ from incentives import (
     IncentiveSpec,
     InvalidGenerators,
     NotAdmissible,
+    ValueOutOfRange,
     closure_membership,
     closure_msg,
     half_theta_is_incentive,
@@ -137,6 +138,31 @@ def test_closure_trivial_and_errors():
         closure_membership({3}, {-4}, 6)
 
 
+@pytest.mark.parametrize("raw", [[1, True], [True, 1], [1, "a"]])
+def test_seeds_and_adjustments_reject_bools_and_non_ints(raw):
+    # validated before deduplication, so True cannot merge into 1
+    with pytest.raises(InvalidGenerators):
+        IncentiveSpec.of(raw)
+    with pytest.raises(InvalidGenerators):
+        closure_msg(raw, {-1})
+    with pytest.raises(InvalidGenerators):
+        is_admissible(raw, {-1})
+
+
+def test_seed_magnitude_message():
+    with pytest.raises(ValueOutOfRange, match=r"seed elements are capped at 2\*\*31 in magnitude"):
+        closure_msg({2**31 + 1}, {-1})
+
+
+def test_closure_membership_validates_its_target():
+    for bad in (True, 2.5, "7"):
+        with pytest.raises(InvalidGenerators):
+            closure_membership((5, 7), (-3, 2), bad)
+    for bad in (2**31 + 1, -(2**31) - 1):
+        with pytest.raises(ValueOutOfRange):
+            closure_membership((5, 7), (-3, 2), bad)
+
+
 def test_closure_zero_adjustment_is_plain_monoid():
     r = closure_msg({4, 7}, {0})
     assert r.kind == NUMERICAL
@@ -154,6 +180,12 @@ CURATED_PAIRS = [
     ((2, 3), (1,)),
     ((9, 12), (-4, 6)),
     ((5, 6), (0,)),
+    # seeds below theta: the multiples of theta/2
+    ((2,), (-4, 6)),
+    ((1,), (-2,)),
+    # gcd > 1: solved at scale 1/d
+    ((6, 9), (-3, 6)),
+    ((4, 10), (-2,)),
 ]
 
 

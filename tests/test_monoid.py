@@ -190,6 +190,24 @@ def test_genset_validation_messages():
         GenSet((-(2**31) - 1, 3))
 
 
+@pytest.mark.parametrize("raw", [[1, True], [True, 1], [1, "a"]])
+def test_raw_generators_reject_bools_and_non_ints(raw):
+    # validated before deduplication, so True cannot merge into 1
+    with pytest.raises(InvalidGenerators):
+        monoid_from_generators(raw)
+
+
+def test_membership_validates_its_target():
+    for bad in (True, 2.5, "7"):
+        with pytest.raises(InvalidGenerators):
+            membership((2, 3), bad)
+    for bad in (2**31 + 1, -(2**31) - 1):
+        with pytest.raises(ValueOutOfRange):
+            membership((2, 3), bad)
+    assert membership((2, 3), 2**31)
+    assert not membership((2, 3), -(2**31))
+
+
 def test_str_renderings():
     assert str(GenSet((3, 5, 7))) == "⟨3,5,7⟩"
     assert str(numerical_semigroup((2, 3))) == "⟨2,3⟩"

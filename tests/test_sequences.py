@@ -1,11 +1,15 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incentives import (
+    InvalidGenerators,
     InvalidModel,
     InvalidSequence,
     SequenceModel,
+    ValueOutOfRange,
     closure_msg,
     invoice,
     is_ab_sequence,
@@ -30,6 +34,20 @@ def test_model_validation():
     m = SequenceModel.of([7, 5, 5], [0, -3, 2])
     assert m.a_set == (5, 7)
     assert m.b_set == (-3, 0, 2)
+
+
+@pytest.mark.parametrize("raw", [[1, True], [True, 1], [1, "a"]])
+def test_model_sets_reject_bools_and_non_ints(raw):
+    # validated before deduplication, so True cannot merge into 1
+    with pytest.raises(InvalidModel):
+        SequenceModel.of(raw, {0})
+    with pytest.raises(InvalidModel):
+        SequenceModel.of({5}, [0, *raw])
+
+
+def test_model_magnitude_message():
+    with pytest.raises(ValueOutOfRange, match=r"model entries are capped at 2\*\*31 in magnitude"):
+        SequenceModel.of({2**31 + 1}, {0})
 
 
 def test_is_ab_sequence():
@@ -62,6 +80,31 @@ def test_membership_known_values():
     assert m_ab_membership(MODEL, 13)
     assert not m_ab_membership(MODEL, 8)
     assert not m_ab_membership(MODEL, -4)
+
+
+def test_query_values_are_validated():
+    for bad in (True, 2.5, "7"):
+        with pytest.raises(InvalidGenerators):
+            m_ab_membership(MODEL, bad)
+        with pytest.raises(InvalidGenerators):
+            m_ab_set(MODEL, bad)
+    for bad in (2**31 + 1, -(2**31) - 1):
+        with pytest.raises(ValueOutOfRange):
+            m_ab_membership(MODEL, bad)
+    # only the negative side: an unchecked 2**31 + 1 would build 2**31-bit sets
+    with pytest.raises(ValueOutOfRange):
+        m_ab_set(MODEL, -(2**31) - 1)
+
+
+def test_m_ab_membership_above_the_table_ceiling():
+    # past 10**6 the closure fixpoint answers, not a table of n entries
+    for model in (MODEL, SequenceModel.of({4, 6}, {-2, 0, 2})):
+        closure = closure_msg(model.a_set, model.b_set)
+        for n in (10**6 + 1, 2**31):
+            start = time.perf_counter()
+            got = m_ab_membership(model, n)
+            assert time.perf_counter() - start < 2, (model, n)
+            assert got == closure.member(n), (model, n)
 
 
 def test_m_ab_set_golden():
