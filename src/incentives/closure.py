@@ -354,7 +354,8 @@ def closure_membership(x_set: Iterable[int], c: IncentiveSpec | Iterable[int], n
     n / scale belongs iff it is a sum of reduced seeds and adjustments
     with strictly more seeds than adjustments; the reachability table
     from _slack_profile answers that directly, and the fixpoint answers
-    above _DP_CEILING, where a table of n entries costs more.
+    above _DP_CEILING, where a table of n entries costs more.  Reduced
+    seeds holding 1 generate all of N, so they need neither.
     """
     _check_ints((n,), "membership targets")
     spec = strip_zero(_as_spec(c))
@@ -364,6 +365,9 @@ def closure_membership(x_set: Iterable[int], c: IncentiveSpec | Iterable[int], n
     scale, xs, cs = _reduced(xs, spec)
     if n % scale:
         return False
+    if xs[0] == 1:
+        # a monoid holding 1 is all of N
+        return True
     n //= scale
     if n > _DP_CEILING:
         return n in _fixpoint(xs, cs)

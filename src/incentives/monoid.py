@@ -42,8 +42,18 @@ _MEMBER_BYTES = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def _bitmask(values: Iterable[int]) -> int:
-    """The int with bit v set for each v in values (non-negative, distinct)."""
-    return sum(map((1).__lshift__, values))
+    """The int with bit v set for each v in values (non-negative).
+
+    Setting bits in a bytearray keeps this linear in the largest value; a
+    sum of shifts would copy an ever wider int per value.
+    """
+    vals = tuple(values)
+    if not vals:
+        return 0
+    buf = bytearray((max(vals) >> 3) + 1)
+    for v in vals:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _check_ints(values: tuple[int, ...], what: str, error: type = InvalidGenerators) -> None:
@@ -208,7 +218,8 @@ class NumericalSemigroup:
     gap_bits.bit_length() - 1 and every larger integer is a member.  For
     N itself gap_bits is 0 and the Frobenius number is -1.  gen_bits is
     the same kind of mask for the minimal generators, computed once at
-    construction.  gaps, member_table (bytes over [0, frobenius + 1]) and
+    construction (or handed over by _derived, for records derived from a
+    parent).  gaps, member_table (bytes over [0, frobenius + 1]) and
     genus are derived from gap_bits on demand.  Equality and hashing go
     through the minimal generators, which determine the semigroup.
     """
@@ -219,6 +230,31 @@ class NumericalSemigroup:
     gen_bits: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gen_bits", _bitmask(self.msg.elements))
+        self._check_bits()
+
+    @classmethod
+    def _derived(
+        cls, elements: tuple[int, ...], frobenius: int, gap_bits: int, gen_bits: int
+    ) -> "NumericalSemigroup":
+        """Trusted constructor for records derived from an already valid one.
+
+        The caller guarantees that elements are strictly increasing
+        positive ints and that gen_bits is their mask, so GenSet's checks
+        and _bitmask are skipped; the bit invariants still run.
+        """
+        gens = object.__new__(GenSet)
+        object.__setattr__(gens, "elements", elements)
+        sg = object.__new__(cls)
+        object.__setattr__(sg, "msg", gens)
+        object.__setattr__(sg, "frobenius", frobenius)
+        object.__setattr__(sg, "gap_bits", gap_bits)
+        object.__setattr__(sg, "gen_bits", gen_bits)
+        sg._check_bits()
+        return sg
+
+    def _check_bits(self) -> None:
+        """The invariants every construction keeps: three bit tests."""
         gaps = self.gap_bits
         if self.frobenius != gaps.bit_length() - 1:
             raise InternalInvariant(
@@ -226,10 +262,8 @@ class NumericalSemigroup:
             )
         if gaps & 1:
             raise InternalInvariant("0 is a member of every monoid, not a gap")
-        gens = _bitmask(self.msg.elements)
-        if gens & gaps:
+        if self.gen_bits & gaps:
             raise InternalInvariant("a minimal generator cannot be a gap")
-        object.__setattr__(self, "gen_bits", gens)
 
     def __contains__(self, n: int) -> bool:
         return n >= 0 and not self.gap_bits >> n & 1

@@ -23,11 +23,25 @@ The minimal generators after removing x come from a closed form: for
 {0, m, ->} minus m the result is {m+1, ..., 2m+1}; otherwise the only
 candidate new generator is x + m, needed exactly when no other
 non-multiplicity generator n_j has x + m - n_j inside the parent.
+_child_bits evaluates that closed form on masks alone (the parent's
+generator mask with bit x cleared, plus bit x + m when that is new), so
+a viability test builds no generator tuple; _child_gens reads the tuple
+off the parent's generators and that mask, only for children kept.
 
-Nodes are NumericalSemigroup records on gap bitsets: the child's gap set
-is the parent's with bit x set, and the viability and removal tests are
-bit tests on the parent's gap and generator masks.  Semigroups, their
-generator sets and tree nodes are slotted records.
+Nodes are NumericalSemigroup records on gap bitsets, and a child record
+is derived from its parent, never rebuilt: its gap set is the parent's
+with bit x set, its Frobenius number is x, and its generators and their
+mask come from _child_gens and _child_bits.  Validation happens once,
+at the public edge: enumerate_tree checks the constraint set and seeds
+on entry, and child_viable, msg_after_removal and children check their
+own arguments.  Below that the loop calls private helpers on trusted
+data, and child records go through NumericalSemigroup._derived, which
+skips the integer, sign and ordering checks (true by construction) but
+keeps the three bit invariants.  With debug=True each child is also
+built through the public constructors and rebuilt by
+numerical_semigroup, and every fast-path viability verdict is compared
+with the general one.  Semigroups, their generator sets and tree nodes
+are slotted records.
 
 Traversal is breadth-first in one thread, and the enumeration bound is
 settled from the parent before a child is built: the child's Frobenius
@@ -53,6 +67,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable
 
 from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive
@@ -63,7 +78,7 @@ from .errors import (
     InvalidRemoval,
     RootMissesX,
 )
-from .monoid import GenSet, NumericalSemigroup, _bitmask, numerical_semigroup
+from .monoid import GenSet, NumericalSemigroup, numerical_semigroup
 
 MAX_FROBENIUS = "max_frobenius"
 MAX_GENUS = "max_genus"
@@ -71,9 +86,10 @@ MAX_DEPTH = "max_depth"
 _BOUND_KINDS = (MAX_FROBENIUS, MAX_GENUS, MAX_DEPTH)
 
 BRUTE_FORCE_CEILING = 18
-# largest threshold whose root {0, theta, ->} is built: its theta
-# generators and their bit mask take about 0.2 s at 2**16, growing
-# quadratically beyond
+# largest threshold whose root {0, theta, ->} is built.  At 2**16 the
+# root takes about 3 ms (30 ms through the public constructors), and
+# testing its theta removals on 2*theta-bit masks about 0.5 s, growing
+# quadratically beyond (0.06 s at 2**14; Python 3.11, one core)
 ROOT_THETA_CEILING = 2**16
 
 
@@ -218,13 +234,15 @@ def max_numerical_incentive(c: IncentiveSpec | Iterable[int]) -> NumericalSemigr
     """
     th = _as_spec(c).theta
     if th <= 2:
-        return NumericalSemigroup(GenSet((1,)), -1, 0)
+        return NumericalSemigroup._derived((1,), -1, 0, 2)
     if th > ROOT_THETA_CEILING:
         raise BoundTooLarge(
             f"the root {{0, {th}, ->}} needs {th} generators; "
             f"theta is capped at {ROOT_THETA_CEILING}"
         )
-    return NumericalSemigroup(GenSet(tuple(range(th, 2 * th))), th - 1, (1 << th) - 2)
+    return NumericalSemigroup._derived(
+        tuple(range(th, 2 * th)), th - 1, (1 << th) - 2, ((1 << th) - 1) << th
+    )
 
 
 def _check_removal(sg: NumericalSemigroup, x: int) -> None:
@@ -236,30 +254,49 @@ def _check_removal(sg: NumericalSemigroup, x: int) -> None:
         )
 
 
-def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
-    """Minimal generators of the semigroup minus one generator x > frobenius.
+def _child_bits(sg: NumericalSemigroup, x: int) -> int:
+    """Minimal-generator mask of sg minus x, a generator above the Frobenius number.
 
     Removing the smallest generator m is only possible from {0, m, ->}
-    and yields {m+1, ..., 2m+1}.  Otherwise the only candidate new
-    generator is x + m; it is redundant exactly when x + m - n_j stays a
-    member for some other non-multiplicity generator n_j.
+    and yields {m+1, ..., 2m+1}.  Otherwise x leaves and the only
+    candidate new generator is x + m; it is redundant exactly when
+    x + m - n_j stays a member for some other non-multiplicity generator
+    n_j.  Only int operations on the masks: no generator tuple is built.
     """
-    _check_removal(sg, x)
     elems = sg.msg.elements
     m = elems[0]
     if x == m:
         # x > frobenius forces the parent to be {0, m, ->} here
-        return GenSet(tuple(range(m + 1, 2 * m + 2)))
-    i = elems.index(x)
-    rest = elems[:i] + elems[i + 1 :]
+        return ((1 << (m + 1)) - 1) << (m + 1)
+    bits = sg.gen_bits ^ 1 << x
     # every generator is at most frobenius + m < x + m, so x + m - n_j is
     # positive and x + m sorts last
     gaps = sg.gap_bits
     top = x + m
-    for nj in rest[1:]:
-        if not gaps >> (top - nj) & 1:
-            return GenSet(rest)
-    return GenSet(rest + (top,))
+    for nj in islice(elems, 1, None):
+        if nj != x and not gaps >> (top - nj) & 1:
+            return bits
+    return bits | 1 << top
+
+
+def _child_gens(sg: NumericalSemigroup, x: int, bits: int) -> tuple[int, ...]:
+    """Minimal generators of sg minus x, given their mask from _child_bits."""
+    elems = sg.msg.elements
+    m = elems[0]
+    if x == m:
+        return tuple(range(m + 1, 2 * m + 2))
+    i = elems.index(x)
+    rest = elems[:i] + elems[i + 1 :]
+    return rest + (x + m,) if bits >> (x + m) & 1 else rest
+
+
+def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
+    """Minimal generators of the semigroup minus one generator x > frobenius.
+
+    The closed form is _child_bits's (see the module docstring).
+    """
+    _check_removal(sg, x)
+    return GenSet(_child_gens(sg, x, _child_bits(sg, x)))
 
 
 def child_viable(
@@ -277,43 +314,62 @@ def child_viable(
     """
     spec = _as_spec(c)
     _check_removal(sg, x)
+    return _viable(sg, x, spec.c_set, debug)[0]
+
+
+def _viable(
+    sg: NumericalSemigroup, x: int, c_set: tuple[int, ...], debug: bool
+) -> tuple[bool, int | None]:
+    """Viability of sg minus x, plus _child_bits(sg, x) when the general path computed it.
+
+    With debug=True the fast path's verdict is checked against the
+    general one.
+    """
     m = sg.msg.elements[0]
-    fast = -m not in spec.c_set and x != m
-    if fast:
-        allowed = sg.gen_bits
-    else:
-        allowed = _bitmask(msg_after_removal(sg, x).elements)
-    verdict = _viability_scan(sg, x, spec, allowed)
-    if debug and fast:
-        slow = _viability_scan(sg, x, spec, _bitmask(msg_after_removal(sg, x).elements))
-        if slow != verdict:
-            raise InternalInvariant(
-                f"fast and general viability disagree for {sg} minus {x} under {spec}"
-            )
-    return verdict
+    if x == m or -m in c_set:
+        bits = _child_bits(sg, x)
+        return _viability_scan(sg, x, c_set, bits), bits
+    verdict = _viability_scan(sg, x, c_set, sg.gen_bits)
+    if debug and _viability_scan(sg, x, c_set, _child_bits(sg, x)) != verdict:
+        raise InternalInvariant(
+            f"fast and general viability disagree for {sg} minus {x} under {c_set}"
+        )
+    return verdict, None
 
 
-def _viability_scan(sg: NumericalSemigroup, x: int, spec: IncentiveSpec, allowed: int) -> bool:
+def _viability_scan(sg: NumericalSemigroup, x: int, c_set: tuple[int, ...], allowed: int) -> bool:
     """Is every positive x - cc a gap of the parent, a bit of allowed, or x itself?"""
     ok = sg.gap_bits | allowed | 1 << x
-    for cc in spec.c_set:
+    for cc in c_set:
         v = x - cc
         if v > 0 and not ok >> v & 1:
             return False
     return True
 
 
-def _child_semigroup(sg: NumericalSemigroup, x: int, debug: bool = False) -> NumericalSemigroup:
-    after = msg_after_removal(sg, x)
-    child = NumericalSemigroup(after, x, sg.gap_bits | 1 << x)
+def _child(sg: NumericalSemigroup, x: int, bits: int | None, debug: bool) -> NumericalSemigroup:
+    """The record of sg minus x, derived from sg and its mask (computed here when bits is None).
+
+    With debug=True the child is also built through the public
+    constructors and rebuilt from its generators, and all must agree.
+    """
+    if bits is None:
+        bits = _child_bits(sg, x)
+    elems = _child_gens(sg, x, bits)
+    child = NumericalSemigroup._derived(elems, x, sg.gap_bits | 1 << x, bits)
     if debug:
-        rebuilt = numerical_semigroup(after)
-        if (
-            rebuilt.msg.elements != child.msg.elements
-            or rebuilt.frobenius != child.frobenius
-            or rebuilt.gap_bits != child.gap_bits
-        ):
-            raise InternalInvariant(f"incremental child {child} disagrees with rebuild {rebuilt}")
+        public = NumericalSemigroup(GenSet(elems), x, child.gap_bits)
+        rebuilt = numerical_semigroup(elems)
+        for other in (public, rebuilt):
+            if (
+                other.msg.elements != elems
+                or other.frobenius != x
+                or other.gap_bits != child.gap_bits
+                or other.gen_bits != bits
+            ):
+                raise InternalInvariant(
+                    f"derived child {child} of {sg} minus {x} disagrees with {other}"
+                )
     return child
 
 
@@ -328,14 +384,15 @@ def children(
     x_set, when given, lists elements that must stay inside every node;
     generators in it are never removed.
     """
-    spec = _as_spec(c)
+    c_set = _as_spec(c).c_set
     required = set(x_set) if x_set is not None else set()
     out = []
     for x in sg.msg.elements:
         if x <= sg.frobenius or x in required:
             continue
-        if child_viable(sg, x, spec, debug=debug):
-            out.append((x, _child_semigroup(sg, x, debug=debug)))
+        viable, bits = _viable(sg, x, c_set, debug)
+        if viable:
+            out.append((x, _child(sg, x, bits, debug)))
     return out
 
 
@@ -350,10 +407,12 @@ def enumerate_tree(
     With x_set given, only semigroups containing it are enumerated (its
     elements are never removed), after checking admissibility and that
     the root actually contains it.  Children are visited in ascending
-    removed-generator order, so node ids are deterministic.  The bound is
-    settled from each parent before a child is built (see the module
-    docstring); with debug=True every viable child is built anyway and
-    the bound's verdict on it must match the one settled from its parent.
+    removed-generator order, so node ids are deterministic.  The
+    constraint set and seeds are validated once, here; every child is
+    derived from its parent (see the module docstring).  With debug=True
+    every viable child is built anyway, its bound verdict must match the
+    one settled from its parent, and _viable and _child cross-check the
+    fast paths and derived records.
     """
     spec = _as_spec(c)
     xs = None if x_set is None else _admitted(x_set, spec)
@@ -375,6 +434,7 @@ def enumerate_tree(
         return tree
     nodes = tree.nodes
     nodes.append(TreeNode(max_numerical_incentive(spec), None, None, 0, 0))
+    c_set = spec.c_set
     required = set(xs or ())
     allows = bound.allows
     frontier = nodes[:]
@@ -382,22 +442,24 @@ def enumerate_tree(
         next_frontier = []
         for node in frontier:
             sg = node.semigroup
+            frobenius = sg.frobenius
             genus, depth = _child_numbers(node)
             for x in sg.msg.elements:
-                if x <= sg.frobenius or x in required:
+                if x <= frobenius or x in required:
                     continue
                 # the child's Frobenius number is x, so fits can only turn
                 # from True to False as x grows
                 fits = allows(x, genus, depth)
                 if not fits and tree.truncated and not debug:
                     break
-                if not child_viable(sg, x, spec, debug=debug):
+                viable, bits = _viable(sg, x, c_set, debug)
+                if not viable:
                     continue
                 if not fits:
                     tree.truncated = True
                     if not debug:
                         break
-                child_sg = _child_semigroup(sg, x, debug)
+                child_sg = _child(sg, x, bits, debug)
                 if debug and bound.admits(child_sg, depth) != fits:
                     raise InternalInvariant(
                         f"bound {bound} settled {child_sg} (= {sg} minus {x}) as "

@@ -185,6 +185,12 @@ def test_mab_invoice_rejects_bad_sequence():
     assert "position 2" in err
 
 
+def test_mab_set_bound_above_ceiling_is_a_domain_error():
+    code, out, err = cli("mab", "set", "--a=5,7,9,11", "--b=-3,0,2", f"--bound={2**20 + 1}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_commands_exit_0_on_success():
     assert cli("verify", "theorem5", "--a=5,7,9,11", "--b=-3,0,2", "--bound=120") == (
         0,

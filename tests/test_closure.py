@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -161,6 +162,16 @@ def test_closure_membership_validates_its_target():
     for bad in (2**31 + 1, -(2**31) - 1):
         with pytest.raises(ValueOutOfRange):
             closure_membership((5, 7), (-3, 2), bad)
+
+
+def test_closure_membership_of_reduced_seeds_holding_one():
+    # seeds that reduce to a set holding 1 close up to scale times N: no table
+    for xs, cs, n in (({2}, {-4, 6}, 200_000), ((3, 6), (3,), 300_000)):
+        for target in (n, n + 1):
+            start = time.perf_counter()
+            got = closure_membership(xs, cs, target)
+            assert time.perf_counter() - start < 0.01
+            assert got == closure_msg(xs, cs).member(target) == (target == n)
 
 
 def test_closure_zero_adjustment_is_plain_monoid():

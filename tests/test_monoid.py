@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from incentives import (
     msg,
     numerical_semigroup,
 )
+from incentives.monoid import _bitmask
 from oracles import oracle_members, oracle_msg
 
 
@@ -177,6 +180,15 @@ def test_numerical_semigroup_invariant_checks():
         NumericalSemigroup(gens, 2, 0b10)  # frobenius is 1, not 2
     with pytest.raises(InternalInvariant):
         NumericalSemigroup(gens, 1, 0b11)  # 0 is a gap
+
+
+def test_bitmask_is_linear():
+    assert _bitmask(()) == 0
+    for vals in ((0,), (1, 3, 5), (7, 8, 9, 64), range(200, 300)):
+        assert _bitmask(vals) == sum(1 << v for v in vals)
+    start = time.perf_counter()
+    assert _bitmask(range(2**18, 2**19)) == ((1 << 2**18) - 1) << 2**18
+    assert time.perf_counter() - start < 1.0
 
 
 def test_genset_validation_messages():

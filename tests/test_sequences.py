@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incentives import (
+    BoundTooLarge,
     InvalidGenerators,
     InvalidModel,
     InvalidSequence,
@@ -111,6 +112,18 @@ def test_m_ab_set_golden():
     assert m_ab_set(MODEL, 14) == [0, 5, 7, 9, 10, 11, 12, 13, 14]
     assert m_ab_set(MODEL, 0) == [0]
     assert m_ab_set(MODEL, -1) == []
+
+
+def test_m_ab_set_bound_ceiling():
+    # above 2**20 the totals would take hundreds of MB; refused before building
+    for bound in (2**20 + 1, 2**24, 2**31):
+        start = time.perf_counter()
+        with pytest.raises(BoundTooLarge):
+            m_ab_set(MODEL, bound)
+        assert time.perf_counter() - start < 0.1
+    totals = m_ab_set(MODEL, 2**20)
+    assert totals[:9] == [0, 5, 7, 9, 10, 11, 12, 13, 14]
+    assert totals[-1] == 2**20
 
 
 def test_totals_match_sequence_enumeration():

@@ -3,6 +3,9 @@ import time
 
 import pytest
 
+import incentives.closure as closure_mod
+import incentives.monoid as monoid_mod
+import incentives.sequences as sequences_mod
 import incentives.tree as tree_mod
 from incentives import (
     MAX_DEPTH,
@@ -12,6 +15,7 @@ from incentives import (
     DomainError,
     EnumerationBound,
     InternalInvariant,
+    InvalidGenerators,
     NotAdmissible,
     RootMissesX,
     InvalidRemoval,
@@ -119,6 +123,33 @@ def test_msg_after_removal_matches_brute_force():
                 continue
             got = msg_after_removal(sg, x).elements
             assert got == _brute_msg_after(sg, x), (sg.msg.elements, x)
+
+
+def test_public_child_functions_keep_their_errors():
+    sg = numerical_semigroup((5, 7, 9, 11, 13))
+    with pytest.raises(InvalidRemoval, match=r"^removing 7 from ⟨5,7,9,11,13⟩ leaves a non-monoid; need x > frobenius 8$"):
+        child_viable(sg, 7, {-3, 2})
+    with pytest.raises(InvalidRemoval, match=r"^10 is not a minimal generator of ⟨5,7,9,11,13⟩$"):
+        child_viable(sg, 10, {-3, 2})
+    for bad in (True, 9.0):
+        with pytest.raises(InvalidRemoval):
+            child_viable(sg, bad, {-3, 2})
+    for call in (lambda c: child_viable(sg, 9, c), lambda c: children(sg, c)):
+        with pytest.raises(InvalidGenerators, match="adjustments must be plain integers, got True"):
+            call([-3, True])
+        with pytest.raises(InvalidGenerators, match="at least one adjustment"):
+            call([])
+
+
+def test_large_root_expands_on_masks():
+    # {0, theta, ->} at the ceiling: each of its theta removals is tested
+    # on masks, without copying its theta generators
+    th = tree_mod.ROOT_THETA_CEILING
+    start = time.perf_counter()
+    tree = enumerate_tree((-th,), None, EnumerationBound(MAX_GENUS, th))
+    assert time.perf_counter() - start < 5.0
+    assert [n.removed_generator for n in tree.nodes] == [None, th, th + 1]
+    assert tree.nodes[1].semigroup.msg.elements == tuple(range(th + 1, 2 * th + 2))
 
 
 def test_child_viable_battery():
@@ -558,3 +589,109 @@ def test_debug_catches_a_mutated_bound_check(monkeypatch, bound, mutated):
     assert (_rows(wrong), wrong.truncated) != want
     with pytest.raises(InternalInvariant):
         enumerate_tree(cs, None, bound, debug=True)
+
+
+# The numerical C-incentives form a Frobenius pseudo-variety: the root
+# contains every member, an intersection of members is a member, and
+# adding its Frobenius number to a non-root member gives a member.  Each
+# check runs on the full tree and on brute_force_family at frobenius <= 11.
+PSEUDO_VARIETY_SETS = [(-3, 2), (-4, 1, 3), (-5,), (0,)]
+PSEUDO_VARIETY_F = 11
+
+
+def _full_tree_and_family(cs):
+    tree = enumerate_tree(cs, None, EnumerationBound(MAX_FROBENIUS, PSEUDO_VARIETY_F))
+    family = brute_force_family(cs, PSEUDO_VARIETY_F)
+    return tree, {sg.gap_bits: sg for sg in family.values()}
+
+
+@pytest.mark.parametrize("cs", PSEUDO_VARIETY_SETS)
+def test_full_tree_is_the_family(cs):
+    tree, by_gaps = _full_tree_and_family(cs)
+    got = {n.semigroup.gap_bits: n.semigroup.msg.elements for n in tree.nodes}
+    assert got == {g: sg.msg.elements for g, sg in by_gaps.items()}
+
+
+@pytest.mark.parametrize("cs", PSEUDO_VARIETY_SETS)
+def test_pseudo_variety_root_contains_every_member(cs):
+    tree, by_gaps = _full_tree_and_family(cs)
+    root = max_numerical_incentive(cs)
+    assert tree.root.semigroup == root
+    for gaps in [n.semigroup.gap_bits for n in tree.nodes] + list(by_gaps):
+        assert root.gap_bits & ~gaps == 0, (cs, gaps)
+
+
+@pytest.mark.parametrize("cs", PSEUDO_VARIETY_SETS)
+def test_pseudo_variety_closed_under_intersection(cs):
+    tree, by_gaps = _full_tree_and_family(cs)
+    members = [n.semigroup.gap_bits for n in tree.nodes]
+    # an intersection's gaps are the union, and its Frobenius number stays <= 11
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            assert a | b in by_gaps, (cs, a, b)
+
+
+@pytest.mark.parametrize("cs", PSEUDO_VARIETY_SETS)
+def test_pseudo_variety_adding_the_frobenius_number(cs):
+    tree, by_gaps = _full_tree_and_family(cs)
+    root_gaps = tree.root.semigroup.gap_bits
+    for sg in by_gaps.values():
+        if sg.gap_bits != root_gaps:
+            assert sg.gap_bits & ~(1 << sg.frobenius) in by_gaps, (cs, sg)
+
+
+@pytest.mark.parametrize("cs", PSEUDO_VARIETY_SETS)
+def test_edge_certificate_parent_is_child_plus_its_frobenius_number(cs):
+    tree, _ = _full_tree_and_family(cs)
+    for n in tree.nodes[1:]:
+        child = n.semigroup
+        assert n.parent.semigroup.gap_bits == child.gap_bits & ~(1 << child.frobenius), (cs, child)
+
+
+@pytest.mark.parametrize("cs", PSEUDO_VARIETY_SETS)
+def test_derived_generator_masks_match_their_generators(cs):
+    tree, _ = _full_tree_and_family(cs)
+    for n in tree.nodes:
+        sg = n.semigroup
+        assert sg.gen_bits == sum(1 << g for g in sg.msg.elements), (cs, sg)
+
+
+def _count_validation(monkeypatch):
+    """Count calls of the integer check, _bitmask and GenSet.__post_init__."""
+    counts = dict.fromkeys(("_check_ints", "_bitmask", "GenSet.__post_init__"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # patch every module that imported the function by name
+    for name in ("_check_ints", "_bitmask"):
+        original = getattr(monoid_mod, name)
+        for mod in (monoid_mod, closure_mod, sequences_mod, tree_mod):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting(name, original))
+    monkeypatch.setattr(
+        monoid_mod.GenSet,
+        "__post_init__",
+        counting("GenSet.__post_init__", monoid_mod.GenSet.__post_init__),
+    )
+    return counts
+
+
+def test_enumeration_validates_once_not_per_child(monkeypatch):
+    counts = _count_validation(monkeypatch)
+    seen = {}
+    for genus in (6, 12):
+        for k in counts:
+            counts[k] = 0
+        tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, genus))
+        seen[genus] = (tree.node_count, dict(counts))
+    assert seen[6][0] == 50 and seen[12][0] == 1413
+    assert seen[6][1] == seen[12][1]
+    assert max(seen[12][1].values()) <= 2
+    # the counters do see per-child work: debug rebuilds every child publicly
+    enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 6), debug=True)
+    assert counts["_bitmask"] >= 49 and counts["GenSet.__post_init__"] >= 49
