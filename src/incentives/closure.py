@@ -46,8 +46,9 @@ from .monoid import (
     NumericalSemigroup,
     _as_genset,
     _check_ints,
+    _byte_table,
+    _generated,
     _int_set,
-    _member_table,
     monoid_from_generators,
     msg,
     numerical_semigroup,
@@ -123,7 +124,7 @@ def is_incentive(gens: GenSet | Iterable[int], c: IncentiveSpec | Iterable[int])
         return True
     elems = g.elements
     limit = 2 * elems[-1] + max(spec.c_set[-1], 0)
-    table = _member_table(elems, limit)
+    table = _byte_table(_generated(elems, limit), limit + 1)
     for i, a in enumerate(elems):
         for b in elems[i:]:
             for cc in spec.c_set:
@@ -183,19 +184,19 @@ def is_admissible(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> boo
 
 
 def _reduced(
-    xs: tuple[int, ...], spec: IncentiveSpec
+    xs: tuple[int, ...], cs: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(scale, seeds, adjustments) whose numerical closure, times scale, is the closure asked for.
 
-    xs must be admitted and non-empty.  Seeds below the threshold give
-    (theta/2, (1,), ()); otherwise the gcd of seeds and adjustments is
-    divided out (math.gcd ignores signs).
+    xs must be admitted under the adjustments cs and non-empty.  Seeds
+    below the threshold give (theta/2, (1,), ()); otherwise the gcd of
+    seeds and adjustments is divided out (math.gcd ignores signs).
     """
-    th = spec.theta
+    th = -min(cs + (0,))
     if xs[0] < th:
         return th // 2, (1,), ()
-    d = math.gcd(*xs, *spec.c_set)
-    return d, tuple(x // d for x in xs), tuple(v // d for v in spec.c_set)
+    d = math.gcd(*xs, *cs)
+    return d, tuple(x // d for x in xs), tuple(v // d for v in cs)
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def closure_msg(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> Closu
     xs = _admitted(x_set, spec)
     if not xs:
         return ClosureResult(TRIVIAL, 1, None, None)
-    scale, xs, cs = _reduced(xs, spec)
+    scale, xs, cs = _reduced(xs, spec.c_set)
     ns = _fixpoint(xs, cs)
     if scale == 1:
         return ClosureResult(NUMERICAL, 1, ns.msg, ns)
@@ -359,10 +360,14 @@ def closure_membership(x_set: Iterable[int], c: IncentiveSpec | Iterable[int], n
     """
     _check_ints((n,), "membership targets")
     spec = strip_zero(_as_spec(c))
-    xs = _admitted(x_set, spec)
+    return _membership(_admitted(x_set, spec), spec.c_set, n)
+
+
+def _membership(xs: tuple[int, ...], cs: tuple[int, ...], n: int) -> bool:
+    """closure_membership past validation: n checked, cs zero-free, xs admitted under cs."""
     if n <= 0 or not xs:
         return n == 0
-    scale, xs, cs = _reduced(xs, spec)
+    scale, xs, cs = _reduced(xs, cs)
     if n % scale:
         return False
     if xs[0] == 1:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .closure import IncentiveSpec, closure_membership, closure_msg
+from .closure import _membership, closure_msg
 from .errors import BoundTooLarge, InvalidModel, InvalidSequence
-from .monoid import _check_ints, _int_set
+from .monoid import _ascending, _check_ints, _generated, _int_set
 
 # largest m_ab_set bound: the totals list and its bitsets take about
 # 0.1 s and 58 MB at 2**20 and grow linearly beyond
@@ -95,9 +95,11 @@ def m_ab_membership(model: SequenceModel, n: int) -> bool:
     accepts any surplus of prices, which is the same thing here because
     padding with the 0 adjustment lowers any larger surplus to exactly 1.
     So the totals are the smallest closure of a_set under b_set minus
-    zero (Theorem 5), and closure's membership engine answers.
+    zero (Theorem 5), and closure's membership engine answers after one
+    check of n: the model's rules already admit its prices (min >= theta).
     """
-    return closure_membership(model.a_set, IncentiveSpec(tuple(v for v in model.b_set if v)), n)
+    _check_ints((n,), "membership targets")
+    return _membership(model.a_set, tuple(v for v in model.b_set if v), n)
 
 
 def m_ab_set(model: SequenceModel, bound: int) -> list[int]:
@@ -116,27 +118,18 @@ def m_ab_set(model: SequenceModel, bound: int) -> list[int]:
         return []
     if bound > _SET_CEILING:
         raise BoundTooLarge(f"m_ab_set bounds are capped at 2**20, got {bound}")
-    mask = (1 << (bound + 1)) - 1
-    pairs = sorted({a + b for a in model.a_set for b in model.b_set} - {0})
-    generated = 1
-    for g in pairs:
-        # doubling steps reach every multiple of g up to bound
-        step = g
-        while step <= bound:
-            generated = (generated | generated << step) & mask
-            step <<= 1
+    generated = _generated({a + b for a in model.a_set for b in model.b_set} - {0}, bound)
     totals = 1
     for a in model.a_set:
         totals |= generated << a
-    digits = bin(totals & mask)[:1:-1]
-    return [v for v, ch in enumerate(digits) if ch == "1"]
+    return _ascending(totals & ((1 << (bound + 1)) - 1))
 
 
 def verify_theorem5(model: SequenceModel, bound: int) -> bool:
     """Check on [0, bound] that the invoice totals form the smallest closure.
 
     Compares m_ab_set against the membership of closure_msg(a_set, b_set
-    minus zero); the two engines share no code beyond the model itself.
+    minus zero); the two engines share only the generated-set builder.
     """
     result = closure_msg(model.a_set, model.b_set)
     totals = set(m_ab_set(model, bound))

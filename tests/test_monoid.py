@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incentives import (
+    BoundTooLarge,
     GcdNotOne,
     GenSet,
     InternalInvariant,
@@ -17,8 +22,10 @@ from incentives import (
     msg,
     numerical_semigroup,
 )
-from incentives.monoid import _bitmask
+from incentives.monoid import _bitmask, _generated
 from oracles import oracle_members, oracle_msg
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_genset_validation():
@@ -73,11 +80,16 @@ def test_msg_matches_oracle(gens):
     assert list(msg(tuple(gens)).elements) == oracle_msg(gens)
 
 
-@given(st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=5))
+@given(
+    st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.integers(min_value=71, max_value=5000), max_size=5),
+)
 @settings(max_examples=100)
-def test_membership_matches_oracle(gens):
-    members = oracle_members(sorted(gens), 70)
-    for n in range(71):
+def test_membership_matches_oracle(gens, d, targets):
+    gens = sorted(g * d for g in gens)
+    members = oracle_members(gens, max(targets, default=70))
+    for n in [*range(71), *targets]:
         assert membership(gens, n) == (n in members)
 
 
@@ -189,6 +201,50 @@ def test_bitmask_is_linear():
     start = time.perf_counter()
     assert _bitmask(range(2**18, 2**19)) == ((1 << 2**18) - 1) << 2**18
     assert time.perf_counter() - start < 1.0
+
+
+def test_generated_set_ceiling():
+    assert _generated((2**24,), 2**24) == 1 | 1 << 2**24
+    # doubling from 2 * 4101 overshoots 2**24, so the last try is the ceiling
+    assert numerical_semigroup((2050, 4101)).frobenius == 2050 * 4101 - 2050 - 4101
+    start = time.perf_counter()
+    with pytest.raises(BoundTooLarge):
+        _generated((3,), 2**24 + 1)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "monoid.msg((2**31 - 1, 2**31))",
+        "monoid.numerical_semigroup((2**31 - 1, 2**31))",
+        "closure.is_incentive((2**31,), (1,))",
+    ],
+)
+def test_huge_generated_sets_are_refused_before_allocating(call):
+    # the tables these calls would need (2-4 GiB) cannot fit under the
+    # 1 GiB address-space cap, so only a refusal up front passes
+    script = "\n".join(
+        [
+            "import resource, time",
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))",
+            "from incentives import BoundTooLarge, closure, monoid",
+            "start = time.perf_counter()",
+            "try:",
+            f"    {call}",
+            "except BoundTooLarge:",
+            "    print(time.perf_counter() - start)",
+        ]
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 2
 
 
 def test_genset_validation_messages():

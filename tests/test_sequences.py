@@ -18,6 +18,9 @@ from incentives import (
     m_ab_set,
     verify_theorem5,
 )
+from incentives import closure as closure_mod
+from incentives import monoid as monoid_mod
+from incentives import sequences as sequences_mod
 from oracles import oracle_ab_totals
 
 MODEL = SequenceModel.of({5, 7, 9, 11}, {-3, 0, 2})
@@ -95,6 +98,35 @@ def test_query_values_are_validated():
     # only the negative side: an unchecked 2**31 + 1 would build 2**31-bit sets
     with pytest.raises(ValueOutOfRange):
         m_ab_set(MODEL, -(2**31) - 1)
+
+
+def test_cached_m_ab_membership_checks_only_its_target(monkeypatch):
+    # the model's rules already admit its prices, so a hit on a cached
+    # slack table checks n and builds no IncentiveSpec
+    counts = dict.fromkeys(("_check_ints", "IncentiveSpec.__post_init__"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    original = monoid_mod._check_ints
+    for mod in (monoid_mod, closure_mod, sequences_mod):
+        if getattr(mod, "_check_ints", None) is original:
+            monkeypatch.setattr(mod, "_check_ints", counting("_check_ints", original))
+    monkeypatch.setattr(
+        closure_mod.IncentiveSpec,
+        "__post_init__",
+        counting("IncentiveSpec.__post_init__", closure_mod.IncentiveSpec.__post_init__),
+    )
+    m_ab_membership(MODEL, 700)
+    for k in counts:
+        counts[k] = 0
+    for n in (3, 12, 500, 699):
+        m_ab_membership(MODEL, n)
+    assert counts == {"_check_ints": 4, "IncentiveSpec.__post_init__": 0}
 
 
 def test_m_ab_membership_above_the_table_ceiling():
