@@ -190,12 +190,15 @@ def _reduced(
 
     xs must be admitted under the adjustments cs and non-empty.  Seeds
     below the threshold give (theta/2, (1,), ()); otherwise the gcd of
-    seeds and adjustments is divided out (math.gcd ignores signs).
+    seeds and adjustments is divided out (math.gcd ignores signs); at
+    gcd 1 the inputs come back unchanged, not copied.
     """
     th = -min(cs + (0,))
     if xs[0] < th:
         return th // 2, (1,), ()
     d = math.gcd(*xs, *cs)
+    if d == 1:
+        return 1, xs, cs
     return d, tuple(x // d for x in xs), tuple(v // d for v in cs)
 
 

@@ -248,15 +248,17 @@ class NumericalSemigroup:
 
         The caller guarantees that elements are strictly increasing
         positive ints and that gen_bits is their mask, so GenSet's checks
-        and _bitmask are skipped; the bit invariants still run.
+        and _bitmask are skipped; the bit invariants still run.  The slots
+        are filled through the member descriptors, which skip the frozen
+        __setattr__ and cost less than object.__setattr__.
         """
         gens = object.__new__(GenSet)
-        object.__setattr__(gens, "elements", elements)
+        _SET_ELEMENTS(gens, elements)
         sg = object.__new__(cls)
-        object.__setattr__(sg, "msg", gens)
-        object.__setattr__(sg, "frobenius", frobenius)
-        object.__setattr__(sg, "gap_bits", gap_bits)
-        object.__setattr__(sg, "gen_bits", gen_bits)
+        _SET_MSG(sg, gens)
+        _SET_FROBENIUS(sg, frobenius)
+        _SET_GAP_BITS(sg, gap_bits)
+        _SET_GEN_BITS(sg, gen_bits)
         sg._check_bits()
         return sg
 
@@ -308,6 +310,14 @@ class NumericalSemigroup:
 
     def __str__(self) -> str:
         return str(self.msg)
+
+
+# slot setters of the frozen records, for NumericalSemigroup._derived
+_SET_ELEMENTS = GenSet.elements.__set__
+_SET_MSG = NumericalSemigroup.msg.__set__
+_SET_FROBENIUS = NumericalSemigroup.frobenius.__set__
+_SET_GAP_BITS = NumericalSemigroup.gap_bits.__set__
+_SET_GEN_BITS = NumericalSemigroup.gen_bits.__set__
 
 
 def numerical_semigroup(gens: GenSet | Iterable[int]) -> NumericalSemigroup:

@@ -10,51 +10,64 @@ grow strictly along every edge and bounded enumeration is exact.
 
 Child viability is decided without rebuilding the child: removing x is
 safe iff for every adjustment c the value x - c is either outside the
-parent, a minimal generator of the child, x itself, or 0.  When -m (m
-the parent's smallest generator) is not an adjustment and x is not m,
-the child's generators can be replaced by the parent's own in that test,
-which skips computing them.  Two corrections to the obvious version of
-that shortcut, both confirmed against exhaustive search: the value 0
-must stay allowed (it covers c equal to x itself), and removing the
-smallest generator always takes the slow path (that removal introduces
-generators 2m and 2m+1, which the shortcut cannot see).
+parent, a minimal generator of the child, x itself, or 0.  Only c = 0
+gives x itself, so that adjustment is inert and the scan drops it.
+When -m (m the parent's smallest generator) is not an adjustment and x
+is not m, the child's generators can be replaced by the parent's own in
+that test, which skips computing them.  Two corrections to the obvious
+version of that shortcut, both confirmed against exhaustive search: the
+value 0 must stay allowed (it covers c equal to x itself), and removing
+the smallest generator always takes the slow path (that removal
+introduces generators 2m and 2m+1, which the shortcut cannot see).
 
 The minimal generators after removing x come from a closed form: for
 {0, m, ->} minus m the result is {m+1, ..., 2m+1}; otherwise the only
 candidate new generator is x + m, needed exactly when no other
-non-multiplicity generator n_j has x + m - n_j inside the parent.
-_child_bits evaluates that closed form on masks alone (the parent's
-generator mask with bit x cleared, plus bit x + m when that is new), so
-a viability test builds no generator tuple; _child_gens reads the tuple
-off the parent's generators and that mask, only for children kept.
+non-multiplicity generator n_j has x + m - n_j inside the parent.  The
+closed form is evaluated on masks alone (the parent's generator mask
+with bit x cleared, plus bit x + m when that is new), so a viability
+test builds no generator tuple; the tuple is sliced out of the parent's
+generators at x's index only for children kept.
+
+Each node is expanded in one pass by _expand, which enumerate_tree
+calls once per tree level and children, child_viable (x as its one
+candidate) and msg_after_removal (x as its one candidate, no
+adjustments) call on a single node.  Per parent it reads m, the gap
+mask and the fast path's allowed mask (gaps or parent generators) once
+and tests -m against the adjustment set once; the candidates, the
+generators above the Frobenius number, start at an index found by
+bisection.  Per candidate x it costs one compare against the bound's
+limit and one viability scan, and a kept child one mask, one tuple, one
+record and one tree node.
 
 Nodes are NumericalSemigroup records on gap bitsets, and a child record
 is derived from its parent, never rebuilt: its gap set is the parent's
 with bit x set, its Frobenius number is x, and its generators and their
-mask come from _child_gens and _child_bits.  Validation happens once,
-at the public edge: enumerate_tree checks the constraint set and seeds
-on entry, and child_viable, msg_after_removal and children check their
-own arguments.  Below that the loop calls private helpers on trusted
-data, and child records go through NumericalSemigroup._derived, which
-skips the integer, sign and ordering checks (true by construction) but
-keeps the three bit invariants.  With debug=True each child is also
-built through the public constructors and rebuilt by
-numerical_semigroup, and every fast-path viability verdict is compared
-with the general one.  Semigroups, their generator sets and tree nodes
-are slotted records.
+mask come from the closed form.  Validation happens once, at the
+public edge: enumerate_tree checks the constraint set and seeds on
+entry, and child_viable, msg_after_removal and children check their own
+arguments.  Below that _expand works on trusted data, and child records
+go through NumericalSemigroup._derived, which skips the integer, sign
+and ordering checks (true by construction) but keeps the three bit
+invariants.  With debug=True each child is also built through the
+public constructors and rebuilt by numerical_semigroup, and every
+fast-path viability verdict is compared with the general one.
+Semigroups, their generator sets and tree nodes are slotted records.
 
 Traversal is breadth-first in one thread, and the enumeration bound is
-settled from the parent before a child is built: the child's Frobenius
-number is x, its genus is the parent's plus one and its depth the
-parent's plus one.  Along the ascending scan of x that verdict can only
-turn from admitted to rejected, so the scan stops at the first viable x
-the bound rejects (that child only marks the tree truncated), and once
-the tree is known to be truncated it stops at the first rejected x
-without testing viability.  A frontier node whose children all lie past
-a genus or depth bound therefore costs nothing once truncation is known.
-The root's Frobenius number and genus (theta - 1 for {0, theta, ->},
--1 and 0 for N) are known before the root is built, so a bound that
-excludes the root returns an empty tree without allocating it.
+settled once per parent, before any child is built: every child's
+genus is the parent's plus one and its depth the parent's plus one, so
+EnumerationBound.frobenius_limit turns the bound into the largest child
+Frobenius number it admits, and a child's Frobenius number is its x.
+Along the ascending scan of x the verdict can only turn from admitted to
+rejected, so the scan stops at the first viable x past the limit (that
+child only marks the tree truncated), and once the tree is known to be
+truncated it stops at the first x past the limit without testing
+viability.  A frontier node whose children all lie past the limit is
+therefore not expanded at all once truncation is known.  The root's
+Frobenius number and genus (theta - 1 for {0, theta, ->}, -1 and 0 for
+N) are known before the root is built, so a bound that excludes the
+root returns an empty tree without allocating it.
 
 brute_force_family is the independent oracle: it enumerates candidate
 gap sets directly and keeps the complements that are addition-closed
@@ -65,10 +78,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive
 from .errors import (
@@ -78,7 +92,7 @@ from .errors import (
     InvalidRemoval,
     RootMissesX,
 )
-from .monoid import GenSet, NumericalSemigroup, numerical_semigroup
+from .monoid import GenSet, NumericalSemigroup, _int_set, numerical_semigroup
 
 MAX_FROBENIUS = "max_frobenius"
 MAX_GENUS = "max_genus"
@@ -122,6 +136,21 @@ class EnumerationBound:
         if self.kind == MAX_GENUS:
             return genus <= self.value
         return depth <= self.value
+
+    def frobenius_limit(self, genus: int, depth: int) -> int | None:
+        """The largest Frobenius number allows admits at this genus and depth.
+
+        None when it admits every Frobenius number, -2 (below every
+        Frobenius number) when it admits none.  The children of one
+        parent share their genus and depth, so _expand settles this once
+        per parent and each candidate x costs one compare.
+        """
+        v = self.value
+        if v is None:
+            return None
+        if self.kind == MAX_FROBENIUS:
+            return v
+        return None if (genus if self.kind == MAX_GENUS else depth) <= v else -2
 
     def admits(self, sg: NumericalSemigroup, depth: int) -> bool:
         return self.allows(sg.frobenius, sg.genus, depth)
@@ -246,7 +275,9 @@ def max_numerical_incentive(c: IncentiveSpec | Iterable[int]) -> NumericalSemigr
 
 
 def _check_removal(sg: NumericalSemigroup, x: int) -> None:
-    if not (isinstance(x, int) and x > 0 and sg.gen_bits >> x & 1):
+    if not (
+        isinstance(x, int) and not isinstance(x, bool) and x > 0 and sg.gen_bits >> x & 1
+    ):
         raise InvalidRemoval(f"{x} is not a minimal generator of {sg}")
     if x <= sg.frobenius:
         raise InvalidRemoval(
@@ -254,49 +285,16 @@ def _check_removal(sg: NumericalSemigroup, x: int) -> None:
         )
 
 
-def _child_bits(sg: NumericalSemigroup, x: int) -> int:
-    """Minimal-generator mask of sg minus x, a generator above the Frobenius number.
-
-    Removing the smallest generator m is only possible from {0, m, ->}
-    and yields {m+1, ..., 2m+1}.  Otherwise x leaves and the only
-    candidate new generator is x + m; it is redundant exactly when
-    x + m - n_j stays a member for some other non-multiplicity generator
-    n_j.  Only int operations on the masks: no generator tuple is built.
-    """
-    elems = sg.msg.elements
-    m = elems[0]
-    if x == m:
-        # x > frobenius forces the parent to be {0, m, ->} here
-        return ((1 << (m + 1)) - 1) << (m + 1)
-    bits = sg.gen_bits ^ 1 << x
-    # every generator is at most frobenius + m < x + m, so x + m - n_j is
-    # positive and x + m sorts last
-    gaps = sg.gap_bits
-    top = x + m
-    for nj in islice(elems, 1, None):
-        if nj != x and not gaps >> (top - nj) & 1:
-            return bits
-    return bits | 1 << top
-
-
-def _child_gens(sg: NumericalSemigroup, x: int, bits: int) -> tuple[int, ...]:
-    """Minimal generators of sg minus x, given their mask from _child_bits."""
-    elems = sg.msg.elements
-    m = elems[0]
-    if x == m:
-        return tuple(range(m + 1, 2 * m + 2))
-    i = elems.index(x)
-    rest = elems[:i] + elems[i + 1 :]
-    return rest + (x + m,) if bits >> (x + m) & 1 else rest
-
-
 def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
     """Minimal generators of the semigroup minus one generator x > frobenius.
 
-    The closed form is _child_bits's (see the module docstring).
+    This is _expand on x alone with no adjustments, under which every
+    removal is viable; the closed form is in the module docstring.
     """
     _check_removal(sg, x)
-    return GenSet(_child_gens(sg, x, _child_bits(sg, x)))
+    kids: list[TreeNode] = []
+    _expand([TreeNode(sg, None, None, 0, 0)], frozenset(), (), None, kids, False, False, x)
+    return kids[0].semigroup.msg
 
 
 def child_viable(
@@ -308,69 +306,166 @@ def child_viable(
     """Does the semigroup minus x still honour the constraint set?
 
     For every adjustment cc, the value x - cc must be outside the parent,
-    a minimal generator of the child, x, or 0.  The fast path substitutes
+    a minimal generator of the child, or 0.  The fast path substitutes
     the parent's generators for the child's; it is valid unless -m is an
     adjustment or x is the smallest generator (see the module docstring).
+    This is _expand on x alone.
     """
-    spec = _as_spec(c)
+    cs = _scan_set(_as_spec(c).c_set)
     _check_removal(sg, x)
-    return _viable(sg, x, spec.c_set, debug)[0]
+    kids: list[TreeNode] = []
+    _expand([TreeNode(sg, None, None, 0, 0)], cs, (), None, kids, False, debug, x)
+    return bool(kids)
 
 
-def _viable(
-    sg: NumericalSemigroup, x: int, c_set: tuple[int, ...], debug: bool
-) -> tuple[bool, int | None]:
-    """Viability of sg minus x, plus _child_bits(sg, x) when the general path computed it.
-
-    With debug=True the fast path's verdict is checked against the
-    general one.
-    """
-    m = sg.msg.elements[0]
-    if x == m or -m in c_set:
-        bits = _child_bits(sg, x)
-        return _viability_scan(sg, x, c_set, bits), bits
-    verdict = _viability_scan(sg, x, c_set, sg.gen_bits)
-    if debug and _viability_scan(sg, x, c_set, _child_bits(sg, x)) != verdict:
-        raise InternalInvariant(
-            f"fast and general viability disagree for {sg} minus {x} under {c_set}"
-        )
-    return verdict, None
+def _scan_set(c_set: tuple[int, ...]) -> frozenset[int]:
+    """The adjustments a viability scan tests: all but the inert 0 (x - 0 is x itself)."""
+    return frozenset(c_set) - {0}
 
 
-def _viability_scan(sg: NumericalSemigroup, x: int, c_set: tuple[int, ...], allowed: int) -> bool:
-    """Is every positive x - cc a gap of the parent, a bit of allowed, or x itself?"""
-    ok = sg.gap_bits | allowed | 1 << x
-    for cc in c_set:
+def _honours(x: int, cs: frozenset[int], ok: int) -> bool:
+    """Is every positive x - cc, for cc in cs, a bit of ok?"""
+    for cc in cs:
         v = x - cc
         if v > 0 and not ok >> v & 1:
             return False
     return True
 
 
-def _child(sg: NumericalSemigroup, x: int, bits: int | None, debug: bool) -> NumericalSemigroup:
-    """The record of sg minus x, derived from sg and its mask (computed here when bits is None).
+def _expand(
+    parents: Iterable[TreeNode],
+    cs: frozenset[int],
+    required: Collection[int],
+    bound: EnumerationBound | None,
+    nodes: list[TreeNode],
+    truncated: bool,
+    debug: bool,
+    only: int | None = None,
+) -> bool:
+    """Expand each parent in one pass; append its kept children to nodes.
 
-    With debug=True the child is also built through the public
-    constructors and rebuilt from its generators, and all must agree.
+    A parent's candidates are its generators above the Frobenius number
+    in ascending order (only x, when given), minus those in required.
+    cs comes from _scan_set.  The bound (None: no bound) is settled once
+    per parent: its children share the genus and depth _child_numbers
+    gives, so frobenius_limit is the largest child Frobenius number, x,
+    it admits.  A kept child is appended as a TreeNode with the next id.
+    Returns whether the tree is truncated: truncated, or a viable x lay
+    past a limit.  A parent's scan stops at its first viable x past the
+    limit, and, once the tree is truncated, at the first x past it; a
+    parent whose every candidate lies past it is not scanned.
+
+    A child's generator mask comes from the closed form (module
+    docstring) on masks alone, and its generator tuple is the parent's
+    without index i, plus x + m when that is new.  With debug=True every
+    candidate is scanned and every viable child is built, and the
+    bound's verdict on it must match the limit; each fast-path verdict
+    is compared with the general one, and each child is rebuilt through
+    the public constructors.
     """
-    if bits is None:
-        bits = _child_bits(sg, x)
-    elems = _child_gens(sg, x, bits)
-    child = NumericalSemigroup._derived(elems, x, sg.gap_bits | 1 << x, bits)
-    if debug:
-        public = NumericalSemigroup(GenSet(elems), x, child.gap_bits)
-        rebuilt = numerical_semigroup(elems)
-        for other in (public, rebuilt):
-            if (
-                other.msg.elements != elems
-                or other.frobenius != x
-                or other.gap_bits != child.gap_bits
-                or other.gen_bits != bits
-            ):
-                raise InternalInvariant(
-                    f"derived child {child} of {sg} minus {x} disagrees with {other}"
-                )
-    return child
+    frobenius_limit = None if bound is None else bound.frobenius_limit
+    derived = NumericalSemigroup._derived
+    for node in parents:
+        sg = node.semigroup
+        elems = sg.msg.elements
+        genus, depth = _child_numbers(node)
+        limit = None if frobenius_limit is None else frobenius_limit(genus, depth)
+        if limit is None:
+            limit = elems[-1]  # no candidate lies past the largest generator
+        elif truncated and limit <= sg.frobenius and not debug:
+            continue  # every candidate x > frobenius lies past the bound
+        if only is None:
+            start, stop = bisect_right(elems, sg.frobenius), len(elems)
+        else:
+            start = bisect_left(elems, only)
+            stop = start + 1
+        m = elems[0]
+        gaps = sg.gap_bits
+        gen_bits = sg.gen_bits
+        # the values the fast path allows: the parent's gaps and generators
+        fast_ok = gaps | gen_bits
+        general = -m in cs
+        for i in range(start, stop):
+            x = elems[i]
+            if x in required:
+                continue
+            # the child's Frobenius number is x, so fits can only turn
+            # from True to False as x grows
+            fits = x <= limit
+            if not fits and truncated and not debug:
+                break
+            fast = i and not general
+            if fast:
+                viable = _honours(x, cs, fast_ok)
+                if not (viable or debug):
+                    continue
+            top = x + m
+            if i:
+                bits = gen_bits ^ 1 << x
+                # every generator is at most frobenius + m < x + m, so
+                # x + m - n_j is positive; x + m is new unless some other
+                # non-multiplicity generator n_j leaves it a member
+                for nj in islice(elems, 1, None):
+                    if nj != x and not gaps >> (top - nj) & 1:
+                        break
+                else:
+                    bits |= 1 << top
+            else:
+                # x = m > frobenius: sg is {0, m, ->}, and sg minus m has
+                # generators m+1, ..., 2m+1
+                bits = ((1 << (m + 1)) - 1) << (m + 1)
+            if not fast or debug:
+                exact = _honours(x, cs, gaps | bits)
+                if fast and exact != viable:
+                    raise InternalInvariant(
+                        f"fast and general viability disagree for {sg} minus {x} "
+                        f"under {sorted(cs)}"
+                    )
+                if not exact:
+                    continue
+            if not fits:
+                truncated = True
+                if not debug:
+                    break
+            if i:
+                gens = elems[:i] + elems[i + 1 :]
+                if bits >> top & 1:
+                    gens += (top,)
+            else:
+                gens = tuple(range(m + 1, 2 * m + 2))
+            child = derived(gens, x, gaps | 1 << x, bits)
+            if debug:
+                _check_child(sg, x, child)
+                if bound is not None and bound.admits(child, depth) != fits:
+                    raise InternalInvariant(
+                        f"bound {bound} settled {child} (= {sg} minus {x}) as "
+                        f"{'admitted' if fits else 'rejected'} from its parent"
+                    )
+                if not fits:
+                    continue
+            nodes.append(TreeNode(child, node, x, depth, len(nodes)))
+    return truncated
+
+
+def _check_child(sg: NumericalSemigroup, x: int, child: NumericalSemigroup) -> None:
+    """Debug check of the derived record of sg minus x.
+
+    The child is also built through the public constructors and rebuilt
+    from its generators, and all must agree.
+    """
+    elems = child.msg.elements
+    public = NumericalSemigroup(GenSet(elems), x, child.gap_bits)
+    rebuilt = numerical_semigroup(elems)
+    for other in (public, rebuilt):
+        if (
+            other.msg.elements != elems
+            or other.frobenius != x
+            or other.gap_bits != child.gap_bits
+            or other.gen_bits != child.gen_bits
+        ):
+            raise InternalInvariant(
+                f"derived child {child} of {sg} minus {x} disagrees with {other}"
+            )
 
 
 def children(
@@ -382,18 +477,14 @@ def children(
     """Viable (removed generator, child) pairs in ascending generator order.
 
     x_set, when given, lists elements that must stay inside every node;
-    generators in it are never removed.
+    generators in it are never removed.  Its values must be plain
+    integers, as seeds anywhere else.
     """
-    c_set = _as_spec(c).c_set
-    required = set(x_set) if x_set is not None else set()
-    out = []
-    for x in sg.msg.elements:
-        if x <= sg.frobenius or x in required:
-            continue
-        viable, bits = _viable(sg, x, c_set, debug)
-        if viable:
-            out.append((x, _child(sg, x, bits, debug)))
-    return out
+    cs = _scan_set(_as_spec(c).c_set)
+    required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
+    kids: list[TreeNode] = []
+    _expand([TreeNode(sg, None, None, 0, 0)], cs, required, None, kids, False, debug)
+    return [(n.removed_generator, n.semigroup) for n in kids]
 
 
 def enumerate_tree(
@@ -408,11 +499,11 @@ def enumerate_tree(
     elements are never removed), after checking admissibility and that
     the root actually contains it.  Children are visited in ascending
     removed-generator order, so node ids are deterministic.  The
-    constraint set and seeds are validated once, here; every child is
-    derived from its parent (see the module docstring).  With debug=True
-    every viable child is built anyway, its bound verdict must match the
-    one settled from its parent, and _viable and _child cross-check the
-    fast paths and derived records.
+    constraint set and seeds are validated once, here; each level of the
+    tree is expanded by one _expand call (see the module docstring).
+    With debug=True every viable child is built anyway, its bound verdict
+    must match the one settled from its parent, and _expand cross-checks
+    the fast paths and derived records.
     """
     spec = _as_spec(c)
     xs = None if x_set is None else _admitted(x_set, spec)
@@ -434,42 +525,14 @@ def enumerate_tree(
         return tree
     nodes = tree.nodes
     nodes.append(TreeNode(max_numerical_incentive(spec), None, None, 0, 0))
-    c_set = spec.c_set
-    required = set(xs or ())
-    allows = bound.allows
-    frontier = nodes[:]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            sg = node.semigroup
-            frobenius = sg.frobenius
-            genus, depth = _child_numbers(node)
-            for x in sg.msg.elements:
-                if x <= frobenius or x in required:
-                    continue
-                # the child's Frobenius number is x, so fits can only turn
-                # from True to False as x grows
-                fits = allows(x, genus, depth)
-                if not fits and tree.truncated and not debug:
-                    break
-                viable, bits = _viable(sg, x, c_set, debug)
-                if not viable:
-                    continue
-                if not fits:
-                    tree.truncated = True
-                    if not debug:
-                        break
-                child_sg = _child(sg, x, bits, debug)
-                if debug and bound.admits(child_sg, depth) != fits:
-                    raise InternalInvariant(
-                        f"bound {bound} settled {child_sg} (= {sg} minus {x}) as "
-                        f"{'admitted' if fits else 'rejected'} from its parent"
-                    )
-                if fits:
-                    child = TreeNode(child_sg, node, x, depth, len(nodes))
-                    nodes.append(child)
-                    next_frontier.append(child)
-        frontier = next_frontier
+    cs = _scan_set(spec.c_set)
+    required = frozenset(xs or ())
+    # breadth-first by levels: each pass expands the nodes the last one added
+    done = 0
+    while done < len(nodes):
+        level = islice(nodes, done, len(nodes))
+        done = len(nodes)
+        tree.truncated = _expand(level, cs, required, bound, nodes, tree.truncated, debug)
     return tree
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import incentives.closure as closure_mod
 from incentives import (
     MULTIPLE,
     NUMERICAL,
@@ -114,6 +115,16 @@ def test_closure_reduction_path():
     assert r2.scale == 3
     assert r2.msg.elements == (6, 15)
     assert r2.semigroup.msg.elements == (2, 5)
+
+
+def test_reduction_at_gcd_one_returns_its_inputs():
+    xs, cs = (5, 7), (-3, 2)
+    scale, rxs, rcs = closure_mod._reduced(xs, cs)
+    assert scale == 1 and rxs is xs and rcs is cs
+    # a common factor is still divided out, and seeds below theta still
+    # reduce to the multiples of theta/2
+    assert closure_mod._reduced((4, 6), (-2, 2)) == (2, (2, 3), (-1, 1))
+    assert closure_mod._reduced((2, 8), (-4, 6)) == (2, (1,), ())
 
 
 def test_closure_below_threshold_branch():

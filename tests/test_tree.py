@@ -19,6 +19,7 @@ from incentives import (
     NotAdmissible,
     RootMissesX,
     InvalidRemoval,
+    ValueOutOfRange,
     brute_force_family,
     child_viable,
     children,
@@ -134,6 +135,13 @@ def test_public_child_functions_keep_their_errors():
     for bad in (True, 9.0):
         with pytest.raises(InvalidRemoval):
             child_viable(sg, bad, {-3, 2})
+    # on N the bool True would pass for its generator 1
+    naturals = numerical_semigroup((1,))
+    assert child_viable(naturals, 1, {-2}) and msg_after_removal(naturals, 1).elements == (2, 3)
+    with pytest.raises(InvalidRemoval, match=r"^True is not a minimal generator of ⟨1⟩$"):
+        child_viable(naturals, True, {-2})
+    with pytest.raises(InvalidRemoval, match=r"^True is not a minimal generator of ⟨1⟩$"):
+        msg_after_removal(naturals, True)
     for call in (lambda c: child_viable(sg, 9, c), lambda c: children(sg, c)):
         with pytest.raises(InvalidGenerators, match="adjustments must be plain integers, got True"):
             call([-3, True])
@@ -198,6 +206,23 @@ def test_children_respect_seed_elements():
     assert [x for x, _ in all_kids] == [3, 4]
     kept = children(root, (-3, 2), x_set=(3,))
     assert [x for x, _ in kept] == [4]
+
+
+@pytest.mark.parametrize(
+    "bad, error, text",
+    [
+        ([4.0], InvalidGenerators, "seed elements must be plain integers, got 4.0"),
+        (["a"], InvalidGenerators, "seed elements must be plain integers, got 'a'"),
+        ([True], InvalidGenerators, "seed elements must be plain integers, got True"),
+        ([2**40], ValueOutOfRange, rf"seed elements are capped at 2\*\*31 in magnitude, got {2**40}"),
+    ],
+)
+def test_children_validate_seed_elements_like_enumerate_tree(bad, error, text):
+    root = numerical_semigroup((3, 4, 5))
+    with pytest.raises(error, match=f"^{text}$"):
+        children(root, (-3, 2), x_set=bad)
+    with pytest.raises(error, match=f"^{text}$"):
+        enumerate_tree((-3, 2), bad, EnumerationBound(MAX_GENUS, 3))
 
 
 # (msg, parent msg, removed generator) rows of the full C={-3,2} tree
@@ -589,6 +614,55 @@ def test_debug_catches_a_mutated_bound_check(monkeypatch, bound, mutated):
     assert (_rows(wrong), wrong.truncated) != want
     with pytest.raises(InternalInvariant):
         enumerate_tree(cs, None, bound, debug=True)
+
+
+@pytest.mark.parametrize("kind", [MAX_FROBENIUS, MAX_GENUS, MAX_DEPTH])
+@pytest.mark.parametrize("value", [None, 0, 1, 3, 7])
+def test_frobenius_limit_agrees_with_allows(kind, value):
+    bound = EnumerationBound(kind, value)
+    for genus in range(10):
+        for depth in range(10):
+            limit = bound.frobenius_limit(genus, depth)
+            for frobenius in range(-1, 20):
+                want = bound.allows(frobenius, genus, depth)
+                assert (limit is None or frobenius <= limit) == want, (
+                    bound, frobenius, genus, depth, limit
+                )
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        EnumerationBound(MAX_GENUS, 12),
+        EnumerationBound(MAX_FROBENIUS, 14),
+        EnumerationBound(MAX_DEPTH, 8),
+    ],
+)
+def test_bound_is_consulted_once_per_parent_not_per_candidate(monkeypatch, bound):
+    calls = {"allows": 0, "frobenius_limit": 0}
+
+    def counting(name):
+        original = getattr(EnumerationBound, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(EnumerationBound, name, counting(name))
+    tree = enumerate_tree((-3, 2), None, bound)
+    assert tree.truncated
+    # candidates: the generators above the Frobenius number of every node
+    candidates = sum(
+        sum(1 for x in n.semigroup.msg.elements if x > n.semigroup.frobenius)
+        for n in tree.nodes
+    )
+    assert candidates > 2 * (tree.node_count + 1)
+    # one check of the root, then at most one per expanded parent
+    assert calls["allows"] == 1
+    assert calls["frobenius_limit"] <= tree.node_count
 
 
 # The numerical C-incentives form a Frobenius pseudo-variety: the root
