@@ -125,14 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=parse_set)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    sp.add_argument("--debug-checks", action="store_true")
 
     sp = sub.add_parser("decompose", help="slice all qualifying monoids by gcd divisor")
     sp.add_argument("--c", type=parse_set, required=True)
     sp.add_argument("--x", type=parse_set)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--debug-checks", action="store_true")
 
     mab = sub.add_parser("mab", help="purchase/adjustment sequence model")
     mabsub = mab.add_subparsers(dest="action", required=True)
@@ -258,7 +256,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return 0
 
     if cmd == "tree":
-        tree = enumerate_tree(ns.c, ns.x, _bound_from(ns), debug=ns.debug_checks)
+        tree = enumerate_tree(ns.c, ns.x, _bound_from(ns))
         if ns.format == "json":
             print(tree.to_json())
         elif ns.format == "dot":
@@ -268,7 +266,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return 0
 
     if cmd == "decompose":
-        dec = decompose(ns.c, ns.x, _bound_from(ns), debug=ns.debug_checks)
+        dec = decompose(ns.c, ns.x, _bound_from(ns))
         if ns.format == "json":
             _print_json(
                 {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .closure import _membership, closure_msg
-from .errors import BoundTooLarge, InvalidModel, InvalidSequence
+from .errors import BoundTooLarge, InvalidModel, InvalidSequence, ValueOutOfRange
 from .monoid import _ascending, _check_ints, _generated, _int_set
 
 # largest m_ab_set bound: the totals list and its bitsets take about
@@ -63,10 +63,14 @@ def is_ab_sequence(model: SequenceModel, xs: Sequence[int]) -> bool:
     """Is xs an alternating purchase/adjustment sequence?
 
     Odd length, odd positions (1st, 3rd, ...) drawn from the prices, even
-    positions from the adjustments.  The empty list has even length 0 and
-    is not a sequence.
+    positions from the adjustments, all plain integers.  The empty list
+    has even length 0 and is not a sequence.
     """
     if len(xs) % 2 == 0:
+        return False
+    try:
+        _check_ints(tuple(xs), "sequence entries", InvalidSequence)
+    except (InvalidSequence, ValueOutOfRange):
         return False
     a = set(model.a_set)
     b = set(model.b_set)
@@ -74,9 +78,14 @@ def is_ab_sequence(model: SequenceModel, xs: Sequence[int]) -> bool:
 
 
 def invoice(model: SequenceModel, xs: Sequence[int]) -> int:
-    """Sum of a valid sequence; rejects anything else with a 1-indexed diagnosis."""
+    """Sum of a valid sequence; rejects anything else with a 1-indexed diagnosis.
+
+    Entries must be plain integers: a float or bool raises InvalidSequence
+    even when it compares equal to a price or adjustment.
+    """
     if len(xs) % 2 == 0:
         raise InvalidSequence(f"sequence length must be odd, got {len(xs)}")
+    _check_ints(tuple(xs), "sequence entries", InvalidSequence)
     a = set(model.a_set)
     b = set(model.b_set)
     for i, v in enumerate(xs):

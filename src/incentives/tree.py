@@ -49,10 +49,8 @@ entry, and child_viable, msg_after_removal and children check their own
 arguments.  Below that _expand works on trusted data, and child records
 go through NumericalSemigroup._derived, which skips the integer, sign
 and ordering checks (true by construction) but keeps the three bit
-invariants.  With debug=True each child is also built through the
-public constructors and rebuilt by numerical_semigroup, and every
-fast-path viability verdict is compared with the general one.
-Semigroups, their generator sets and tree nodes are slotted records.
+invariants.  Semigroups, their generator sets and tree nodes are
+slotted records.
 
 Traversal is breadth-first in one thread, and the enumeration bound is
 settled once per parent, before any child is built: every child's
@@ -67,11 +65,15 @@ viability.  A frontier node whose children all lie past the limit is
 therefore not expanded at all once truncation is known.  The root's
 Frobenius number and genus (theta - 1 for {0, theta, ->}, -1 and 0 for
 N) are known before the root is built, so a bound that excludes the
-root returns an empty tree without allocating it.
+root returns an empty tree without allocating it.  Without a bound
+value only a finite family (is_finite_family) is enumerated; an
+infinite one raises BoundTooLarge before the root is built.
 
 brute_force_family is the independent oracle: it enumerates candidate
 gap sets directly and keeps the complements that are addition-closed
-and honour C.  Tests pin the tree enumeration against it.
+and honour C.  Tests pin the tree enumeration, its viability verdicts
+and its derived records against it, against is_incentive and against
+numerical_semigroup.
 """
 
 from __future__ import annotations
@@ -85,14 +87,8 @@ from itertools import islice
 from typing import Collection, Iterable
 
 from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive
-from .errors import (
-    BoundTooLarge,
-    DomainError,
-    InternalInvariant,
-    InvalidRemoval,
-    RootMissesX,
-)
-from .monoid import GenSet, NumericalSemigroup, _int_set, numerical_semigroup
+from .errors import BoundTooLarge, DomainError, InvalidRemoval, RootMissesX
+from .monoid import GenSet, NumericalSemigroup, _int_set
 
 MAX_FROBENIUS = "max_frobenius"
 MAX_GENUS = "max_genus"
@@ -112,9 +108,10 @@ class EnumerationBound:
     """A truncation rule for tree enumeration.
 
     kind is one of max_frobenius, max_genus, max_depth; value None means
-    unbounded (safe only when the family is finite).  Frobenius number
-    and genus grow strictly along edges, so pruning below a violating
-    child is exact; depth pruning simply stops expanding at the cutoff.
+    unbounded, which enumerate_tree accepts only for a finite family.
+    Frobenius number and genus grow strictly along edges, so pruning
+    below a violating child is exact; depth pruning simply stops
+    expanding at the cutoff.
     """
 
     kind: str
@@ -151,9 +148,6 @@ class EnumerationBound:
         if self.kind == MAX_FROBENIUS:
             return v
         return None if (genus if self.kind == MAX_GENUS else depth) <= v else -2
-
-    def admits(self, sg: NumericalSemigroup, depth: int) -> bool:
-        return self.allows(sg.frobenius, sg.genus, depth)
 
     def __str__(self) -> str:
         return f"{self.kind}={'none' if self.value is None else self.value}"
@@ -207,13 +201,6 @@ class IncentiveTree:
     def leaves(self) -> list[TreeNode]:
         parents = {id(n.parent) for n in self.nodes if n.parent is not None}
         return [n for n in self.nodes if id(n) not in parents]
-
-    def node_by_msg(self, gens: Iterable[int]) -> TreeNode | None:
-        key = tuple(sorted(gens))
-        for n in self.nodes:
-            if n.semigroup.msg.elements == key:
-                return n
-        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -293,16 +280,11 @@ def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
     """
     _check_removal(sg, x)
     kids: list[TreeNode] = []
-    _expand([TreeNode(sg, None, None, 0, 0)], frozenset(), (), None, kids, False, False, x)
+    _expand([TreeNode(sg, None, None, 0, 0)], frozenset(), (), None, kids, False, x)
     return kids[0].semigroup.msg
 
 
-def child_viable(
-    sg: NumericalSemigroup,
-    x: int,
-    c: IncentiveSpec | Iterable[int],
-    debug: bool = False,
-) -> bool:
+def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int]) -> bool:
     """Does the semigroup minus x still honour the constraint set?
 
     For every adjustment cc, the value x - cc must be outside the parent,
@@ -314,7 +296,7 @@ def child_viable(
     cs = _scan_set(_as_spec(c).c_set)
     _check_removal(sg, x)
     kids: list[TreeNode] = []
-    _expand([TreeNode(sg, None, None, 0, 0)], cs, (), None, kids, False, debug, x)
+    _expand([TreeNode(sg, None, None, 0, 0)], cs, (), None, kids, False, x)
     return bool(kids)
 
 
@@ -339,7 +321,6 @@ def _expand(
     bound: EnumerationBound | None,
     nodes: list[TreeNode],
     truncated: bool,
-    debug: bool,
     only: int | None = None,
 ) -> bool:
     """Expand each parent in one pass; append its kept children to nodes.
@@ -347,9 +328,9 @@ def _expand(
     A parent's candidates are its generators above the Frobenius number
     in ascending order (only x, when given), minus those in required.
     cs comes from _scan_set.  The bound (None: no bound) is settled once
-    per parent: its children share the genus and depth _child_numbers
-    gives, so frobenius_limit is the largest child Frobenius number, x,
-    it admits.  A kept child is appended as a TreeNode with the next id.
+    per parent: its children all have the parent's genus and depth plus
+    one, so frobenius_limit is the largest child Frobenius number, x, it
+    admits.  A kept child is appended as a TreeNode with the next id.
     Returns whether the tree is truncated: truncated, or a viable x lay
     past a limit.  A parent's scan stops at its first viable x past the
     limit, and, once the tree is truncated, at the first x past it; a
@@ -357,22 +338,18 @@ def _expand(
 
     A child's generator mask comes from the closed form (module
     docstring) on masks alone, and its generator tuple is the parent's
-    without index i, plus x + m when that is new.  With debug=True every
-    candidate is scanned and every viable child is built, and the
-    bound's verdict on it must match the limit; each fast-path verdict
-    is compared with the general one, and each child is rebuilt through
-    the public constructors.
+    without index i, plus x + m when that is new.
     """
     frobenius_limit = None if bound is None else bound.frobenius_limit
     derived = NumericalSemigroup._derived
     for node in parents:
         sg = node.semigroup
         elems = sg.msg.elements
-        genus, depth = _child_numbers(node)
-        limit = None if frobenius_limit is None else frobenius_limit(genus, depth)
+        depth = node.depth + 1
+        limit = None if frobenius_limit is None else frobenius_limit(sg.genus + 1, depth)
         if limit is None:
             limit = elems[-1]  # no candidate lies past the largest generator
-        elif truncated and limit <= sg.frobenius and not debug:
+        elif truncated and limit <= sg.frobenius:
             continue  # every candidate x > frobenius lies past the bound
         if only is None:
             start, stop = bisect_right(elems, sg.frobenius), len(elems)
@@ -392,13 +369,11 @@ def _expand(
             # the child's Frobenius number is x, so fits can only turn
             # from True to False as x grows
             fits = x <= limit
-            if not fits and truncated and not debug:
+            if not fits and truncated:
                 break
             fast = i and not general
-            if fast:
-                viable = _honours(x, cs, fast_ok)
-                if not (viable or debug):
-                    continue
+            if fast and not _honours(x, cs, fast_ok):
+                continue
             top = x + m
             if i:
                 bits = gen_bits ^ 1 << x
@@ -414,19 +389,11 @@ def _expand(
                 # x = m > frobenius: sg is {0, m, ->}, and sg minus m has
                 # generators m+1, ..., 2m+1
                 bits = ((1 << (m + 1)) - 1) << (m + 1)
-            if not fast or debug:
-                exact = _honours(x, cs, gaps | bits)
-                if fast and exact != viable:
-                    raise InternalInvariant(
-                        f"fast and general viability disagree for {sg} minus {x} "
-                        f"under {sorted(cs)}"
-                    )
-                if not exact:
-                    continue
+            if not (fast or _honours(x, cs, gaps | bits)):
+                continue
             if not fits:
                 truncated = True
-                if not debug:
-                    break
+                break
             if i:
                 gens = elems[:i] + elems[i + 1 :]
                 if bits >> top & 1:
@@ -434,45 +401,14 @@ def _expand(
             else:
                 gens = tuple(range(m + 1, 2 * m + 2))
             child = derived(gens, x, gaps | 1 << x, bits)
-            if debug:
-                _check_child(sg, x, child)
-                if bound is not None and bound.admits(child, depth) != fits:
-                    raise InternalInvariant(
-                        f"bound {bound} settled {child} (= {sg} minus {x}) as "
-                        f"{'admitted' if fits else 'rejected'} from its parent"
-                    )
-                if not fits:
-                    continue
             nodes.append(TreeNode(child, node, x, depth, len(nodes)))
     return truncated
-
-
-def _check_child(sg: NumericalSemigroup, x: int, child: NumericalSemigroup) -> None:
-    """Debug check of the derived record of sg minus x.
-
-    The child is also built through the public constructors and rebuilt
-    from its generators, and all must agree.
-    """
-    elems = child.msg.elements
-    public = NumericalSemigroup(GenSet(elems), x, child.gap_bits)
-    rebuilt = numerical_semigroup(elems)
-    for other in (public, rebuilt):
-        if (
-            other.msg.elements != elems
-            or other.frobenius != x
-            or other.gap_bits != child.gap_bits
-            or other.gen_bits != child.gen_bits
-        ):
-            raise InternalInvariant(
-                f"derived child {child} of {sg} minus {x} disagrees with {other}"
-            )
 
 
 def children(
     sg: NumericalSemigroup,
     c: IncentiveSpec | Iterable[int],
     x_set: Iterable[int] | None = None,
-    debug: bool = False,
 ) -> list[tuple[int, NumericalSemigroup]]:
     """Viable (removed generator, child) pairs in ascending generator order.
 
@@ -483,15 +419,12 @@ def children(
     cs = _scan_set(_as_spec(c).c_set)
     required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
     kids: list[TreeNode] = []
-    _expand([TreeNode(sg, None, None, 0, 0)], cs, required, None, kids, False, debug)
+    _expand([TreeNode(sg, None, None, 0, 0)], cs, required, None, kids, False)
     return [(n.removed_generator, n.semigroup) for n in kids]
 
 
 def enumerate_tree(
-    c: IncentiveSpec | Iterable[int],
-    x_set: Iterable[int] | None,
-    bound: EnumerationBound,
-    debug: bool = False,
+    c: IncentiveSpec | Iterable[int], x_set: Iterable[int] | None, bound: EnumerationBound
 ) -> IncentiveTree:
     """Breadth-first tree of numerical semigroups honouring c, under a bound.
 
@@ -501,9 +434,8 @@ def enumerate_tree(
     removed-generator order, so node ids are deterministic.  The
     constraint set and seeds are validated once, here; each level of the
     tree is expanded by one _expand call (see the module docstring).
-    With debug=True every viable child is built anyway, its bound verdict
-    must match the one settled from its parent, and _expand cross-checks
-    the fast paths and derived records.
+    Without a bound value the family must be finite (is_finite_family);
+    an infinite one raises BoundTooLarge, since its enumeration never ends.
     """
     spec = _as_spec(c)
     xs = None if x_set is None else _admitted(x_set, spec)
@@ -519,6 +451,11 @@ def enumerate_tree(
                 f"{missing} lie outside {{0, {th}, ->}}, "
                 f"the largest numerical candidate for {spec}"
             )
+    if bound.value is None and not (xs and is_finite_family(spec, xs)):
+        raise BoundTooLarge(
+            f"the family for {spec} with seeds {list(xs or ())} is infinite; "
+            "give the bound a value"
+        )
     tree = IncentiveTree(spec.c_set, xs, bound)
     if not bound.allows(root_frobenius, root_genus, 0):
         tree.truncated = True
@@ -532,13 +469,8 @@ def enumerate_tree(
     while done < len(nodes):
         level = islice(nodes, done, len(nodes))
         done = len(nodes)
-        tree.truncated = _expand(level, cs, required, bound, nodes, tree.truncated, debug)
+        tree.truncated = _expand(level, cs, required, bound, nodes, tree.truncated)
     return tree
-
-
-def _child_numbers(node: TreeNode) -> tuple[int, int]:
-    """Genus and depth of every child of node (a child's Frobenius number is its x)."""
-    return node.semigroup.genus + 1, node.depth + 1
 
 
 def is_finite_family(c: IncentiveSpec | Iterable[int], x_set: Iterable[int]) -> bool:
@@ -573,10 +505,7 @@ class Decomposition:
 
 
 def decompose(
-    c: IncentiveSpec | Iterable[int],
-    x_set: Iterable[int] | None,
-    bound: EnumerationBound,
-    debug: bool = False,
+    c: IncentiveSpec | Iterable[int], x_set: Iterable[int] | None, bound: EnumerationBound
 ) -> Decomposition:
     """Slice the family of monoids honouring c by the divisor of their gcd.
 
@@ -599,7 +528,7 @@ def decompose(
         c_d = IncentiveSpec(tuple(v // d for v in spec.c_set))
         xs_d = tuple(v // d for v in xs) if xs else xs
         try:
-            trees[d] = enumerate_tree(c_d, xs_d, bound, debug=debug)
+            trees[d] = enumerate_tree(c_d, xs_d, bound)
         except RootMissesX:
             trees[d] = IncentiveTree(c_d.c_set, xs_d, bound)
     return Decomposition(trees, includes_trivial=not xs)

@@ -230,9 +230,11 @@ def test_verify_closure_agreement_builds_closure_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_debug_checks_flag():
-    code, out, _ = cli("tree", "--c=-3,2", "--max-frobenius=9", "--debug-checks")
-    assert code == 0
+@pytest.mark.parametrize("command", ["tree", "decompose"])
+def test_debug_checks_flag_is_a_usage_error(command):
+    code, out, err = cli(command, "--c=-3,2", "--max-frobenius=9", "--debug-checks")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --debug-checks" in err
 
 
 def test_build_parser_smoke():

@@ -77,6 +77,27 @@ def test_invoice():
         invoice(MODEL, [5, 4, 7])
 
 
+@pytest.mark.parametrize(
+    "a, b, seq",
+    [
+        ([3], [0], [3.0]),  # 3.0 == 3 is a price by value
+        ([1, 4], [0], [True]),  # True == 1 likewise
+        ([5, 7], [-3, 0, 2], [5, -3.0, 7]),
+        ([5, 7], [0, 1], [5, True, 7]),
+        ([5, 7], [-3, 0, 2], [5, 0, "7"]),
+    ],
+)
+def test_sequence_entries_must_be_plain_integers(a, b, seq):
+    model = SequenceModel.of(a, b)
+    assert not is_ab_sequence(model, seq)
+    with pytest.raises(InvalidSequence, match="sequence entries must be plain integers"):
+        invoice(model, seq)
+    # the same values as plain integers form a sequence
+    ints = [int(v) for v in seq]
+    assert is_ab_sequence(model, ints)
+    assert type(invoice(model, ints)) is int
+
+
 def test_membership_known_values():
     want_members = {0, 5, 7, 9, 10, 11, 12}
     for n in range(13):

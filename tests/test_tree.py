@@ -1,5 +1,7 @@
 import json
+import signal
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -14,7 +16,6 @@ from incentives import (
     BoundTooLarge,
     DomainError,
     EnumerationBound,
-    InternalInvariant,
     InvalidGenerators,
     NotAdmissible,
     RootMissesX,
@@ -27,6 +28,7 @@ from incentives import (
     decompose,
     enumerate_tree,
     is_finite_family,
+    is_incentive,
     max_numerical_incentive,
     msg_after_removal,
     numerical_semigroup,
@@ -180,24 +182,29 @@ def test_child_viable_smallest_generator_cases():
     # removing the multiplicity must take the general path: the naive
     # shortcut would reject these, but the children really do qualify
     naturals = numerical_semigroup((1,))
-    assert child_viable(naturals, 1, {-2}, debug=True)
-    assert child_viable(naturals, 1, {-1}, debug=True)
+    assert child_viable(naturals, 1, {-2})
+    assert child_viable(naturals, 1, {-1})
     half_free = numerical_semigroup((2, 3))
-    assert child_viable(half_free, 2, {-2}, debug=True)
+    assert child_viable(half_free, 2, {-2})
 
 
 def test_child_viable_zero_difference_is_ignored():
     # x - c = 0 must never count against the child
     sg = numerical_semigroup((2, 3))
-    assert child_viable(sg, 3, {3}, debug=True)
+    assert child_viable(sg, 3, {3})
 
 
-def test_child_viable_fast_and_general_paths_agree():
+def test_child_viable_matches_is_incentive_of_the_child():
+    # both the fast path and the general one answer against the pair test
+    cases = 0
     for cs in SIX_CONSTRAINT_SETS:
         for sg in brute_force_family(cs, 9).values():
             for x in sg.msg.elements:
                 if x > sg.frobenius:
-                    child_viable(sg, x, cs, debug=True)
+                    cases += 1
+                    want = is_incentive(msg_after_removal(sg, x), cs)
+                    assert child_viable(sg, x, cs) == want, (cs, sg, x)
+    assert cases == 748
 
 
 def test_children_respect_seed_elements():
@@ -286,6 +293,39 @@ def test_restricted_tree_golden():
     assert leaves == {(3, 5, 7), (5, 7, 9, 11, 13)}
 
 
+@contextmanager
+def _time_budget(seconds):
+    """Fail with TimeoutError, instead of hanging, once seconds have passed."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda b: enumerate_tree((-3, 2), None, b), id="no-seeds"),
+        pytest.param(lambda b: enumerate_tree((0,), None, b), id="root-N"),
+        pytest.param(lambda b: enumerate_tree((-4, 6), (4, 8), b), id="seed-gcd-2"),
+        pytest.param(lambda b: decompose((-2, 4), (4,), b), id="decompose-slice-1"),
+    ],
+)
+def test_unbounded_enumeration_of_infinite_family_is_refused(run):
+    with _time_budget(1.0), pytest.raises(BoundTooLarge, match="infinite"):
+        run(EnumerationBound(MAX_GENUS, None))
+    # a bound value makes the same family enumerable
+    with _time_budget(1.0):
+        run(EnumerationBound(MAX_GENUS, 4))
+
+
 def test_unbounded_enumeration_of_finite_family():
     tree = enumerate_tree({-3, 2}, {5}, EnumerationBound(MAX_GENUS, None))
     assert tree.node_count == 6
@@ -295,23 +335,37 @@ def test_unbounded_enumeration_of_finite_family():
     assert deepest.semigroup.msg.elements == r.msg.elements
 
 
+def _assert_nodes_rebuild(tree):
+    """Every derived node record equals the one numerical_semigroup builds."""
+    for n in tree.nodes:
+        sg = n.semigroup
+        rebuilt = numerical_semigroup(sg.msg.elements)
+        assert (sg.frobenius, sg.gap_bits, sg.gen_bits) == (
+            rebuilt.frobenius,
+            rebuilt.gap_bits,
+            rebuilt.gen_bits,
+        ), sg
+
+
 def test_tree_matches_brute_force():
     for cs in SIX_CONSTRAINT_SETS:
-        tree = enumerate_tree(cs, None, EnumerationBound(MAX_FROBENIUS, 10), debug=True)
+        tree = enumerate_tree(cs, None, EnumerationBound(MAX_FROBENIUS, 10))
         assert {n.semigroup.msg.elements for n in tree.nodes} == set(
             brute_force_family(cs, 10)
         ), cs
+        _assert_nodes_rebuild(tree)
 
 
 def test_restricted_tree_matches_filtered_brute_force():
     for cs, xs in [((-3, 2), (5,)), ((-2,), (3,)), ((-1, 1), (2, 7))]:
-        tree = enumerate_tree(cs, xs, EnumerationBound(MAX_FROBENIUS, 11), debug=True)
+        tree = enumerate_tree(cs, xs, EnumerationBound(MAX_FROBENIUS, 11))
         want = {
             m
             for m, sg in brute_force_family(cs, 11).items()
             if all(x in sg for x in xs)
         }
         assert {n.semigroup.msg.elements for n in tree.nodes} == want, (cs, xs)
+        _assert_nodes_rebuild(tree)
 
 
 # OEIS A007323: numerical semigroups of genus g, g = 0..15
@@ -494,26 +548,6 @@ def test_children_of_index_matches_parent_links():
     assert tree.children_of(outsider) == []
 
 
-def test_node_by_msg_finds_every_node():
-    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 9))
-    assert tree.node_count == 274
-    for n in tree.nodes:
-        gens = n.semigroup.msg.elements
-        assert tree.node_by_msg(gens) is n
-        assert tree.node_by_msg(reversed(gens)) is n
-    # genus 10 lies past the bound; a repeated generator is no msg
-    for miss in (range(11, 22), (3, 3, 4, 5), ()):
-        assert tree.node_by_msg(miss) is None
-    # appended nodes are found, and a repeated msg answers with its first node
-    root = tree.root
-    twin = tree_mod.TreeNode(root.semigroup, root, None, 1, tree.node_count)
-    tree.nodes.append(twin)
-    assert tree.node_by_msg(root.semigroup.msg.elements) is root
-    new = tree_mod.TreeNode(numerical_semigroup(range(11, 22)), root, None, 1, tree.node_count)
-    tree.nodes.append(new)
-    assert tree.node_by_msg(range(11, 22)) is new
-
-
 def test_records_are_slotted():
     node = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 3)).nodes[-1]
     for record in (node, node.semigroup, node.semigroup.msg):
@@ -521,9 +555,9 @@ def test_records_are_slotted():
 
 
 def _reference_tree(cs, xs, bound):
-    """Build every viable child with children() and keep those bound.admits."""
+    """Build every viable child with children() and keep those bound.allows."""
     root = max_numerical_incentive(cs)
-    if not bound.admits(root, 0):
+    if not bound.allows(root.frobenius, root.genus, 0):
         return [], True
     rows = [(root.msg.elements, None, None)]
     truncated = False
@@ -532,7 +566,7 @@ def _reference_tree(cs, xs, bound):
         nxt = []
         for sg, node_id, depth in frontier:
             for x, child in children(sg, cs, xs):
-                if not bound.admits(child, depth + 1):
+                if not bound.allows(child.frobenius, child.genus, depth + 1):
                     truncated = True
                     continue
                 rows.append((child.msg.elements, node_id, x))
@@ -574,20 +608,19 @@ TREE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("debug", [False, True])
-def test_bound_settled_from_parent_matches_reference(debug):
+def test_bound_settled_from_parent_matches_reference():
     for bound in BOUND_CASES + [EnumerationBound(MAX_GENUS, None)]:
         for cs, xs in TREE_CASES:
             if bound.value is None and not xs:
                 continue  # an infinite family
-            tree = enumerate_tree(cs, xs, bound, debug=debug)
+            tree = enumerate_tree(cs, xs, bound)
             rows, truncated = _reference_tree(cs, xs, bound)
             assert (_rows(tree), tree.truncated) == (rows, truncated), (bound, cs, xs)
             assert [n.node_id for n in tree.nodes] == list(range(len(rows)))
         for cs, xs in [((-4, 6), None), ((-6, 9), None), ((-4, 6), (2,)), ((-12, 18), (6,))]:
             if bound.value is None and not xs:
                 continue
-            for d, tree in decompose(cs, xs, bound, debug=debug).trees.items():
+            for d, tree in decompose(cs, xs, bound).trees.items():
                 cs_d = tuple(v // d for v in cs)
                 xs_d = tuple(v // d for v in xs) if xs else xs
                 if xs_d and any(v not in max_numerical_incentive(cs_d) for v in xs_d):
@@ -598,22 +631,28 @@ def test_bound_settled_from_parent_matches_reference(debug):
 
 
 @pytest.mark.parametrize(
-    "bound, mutated",
+    "bound, genus_shift, depth_shift",
     [
         # forgets that a child's genus is one more than its parent's
-        (EnumerationBound(MAX_GENUS, 6), lambda node: (node.semigroup.genus, node.depth + 1)),
+        pytest.param(EnumerationBound(MAX_GENUS, 6), -1, 0, id="genus-not-incremented"),
         # rejects children the bound admits
-        (EnumerationBound(MAX_GENUS, 6), lambda node: (node.semigroup.genus + 2, node.depth + 1)),
+        pytest.param(EnumerationBound(MAX_GENUS, 6), 1, 0, id="genus-incremented-twice"),
+        pytest.param(EnumerationBound(MAX_DEPTH, 4), 0, -1, id="depth-not-incremented"),
     ],
 )
-def test_debug_catches_a_mutated_bound_check(monkeypatch, bound, mutated):
+def test_reference_catches_a_mutated_bound_check(monkeypatch, bound, genus_shift, depth_shift):
     cs = (-3, 2)
     want = _reference_tree(cs, None, bound)
-    monkeypatch.setattr(tree_mod, "_child_numbers", mutated)
+    tree = enumerate_tree(cs, None, bound)
+    assert (_rows(tree), tree.truncated) == want
+    original = EnumerationBound.frobenius_limit
+
+    def mutated(self, genus, depth):
+        return original(self, genus + genus_shift, depth + depth_shift)
+
+    monkeypatch.setattr(EnumerationBound, "frobenius_limit", mutated)
     wrong = enumerate_tree(cs, None, bound)
     assert (_rows(wrong), wrong.truncated) != want
-    with pytest.raises(InternalInvariant):
-        enumerate_tree(cs, None, bound, debug=True)
 
 
 @pytest.mark.parametrize("kind", [MAX_FROBENIUS, MAX_GENUS, MAX_DEPTH])
@@ -766,6 +805,16 @@ def test_enumeration_validates_once_not_per_child(monkeypatch):
     assert seen[6][0] == 50 and seen[12][0] == 1413
     assert seen[6][1] == seen[12][1]
     assert max(seen[12][1].values()) <= 2
-    # the counters do see per-child work: debug rebuilds every child publicly
-    enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 6), debug=True)
-    assert counts["_bitmask"] >= 49 and counts["GenSet.__post_init__"] >= 49
+    # the counters do see per-child work: with every record built through
+    # the public constructors, the same tree costs one check per node
+    rows = _rows(enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 6)))
+
+    def public(elements, frobenius, gap_bits, gen_bits):
+        return monoid_mod.NumericalSemigroup(monoid_mod.GenSet(elements), frobenius, gap_bits)
+
+    monkeypatch.setattr(monoid_mod.NumericalSemigroup, "_derived", staticmethod(public))
+    for k in counts:
+        counts[k] = 0
+    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 6))
+    assert _rows(tree) == rows
+    assert counts["_bitmask"] >= 50 and counts["GenSet.__post_init__"] >= 50
