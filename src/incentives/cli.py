@@ -53,13 +53,12 @@ def _bounded_int(literal: str) -> int:
 
 
 def parse_seq(literal: str) -> tuple[int, ...]:
-    """Comma-separated integers kept in order with repeats (for sequences)."""
+    """Comma-separated integers kept in order with repeats.
+
+    Set flags parse through it too: every library entry point sorts and
+    deduplicates its sets itself.
+    """
     return tuple(_bounded_int(tok.strip()) for tok in literal.split(","))
-
-
-def parse_set(literal: str) -> tuple[int, ...]:
-    """Comma-separated integers -> sorted deduplicated tuple."""
-    return tuple(sorted(set(parse_seq(literal))))
 
 
 def _nonneg_int(literal: str) -> int:
@@ -98,68 +97,68 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("theta", help="offset threshold of a constraint set")
-    sp.add_argument("--c", type=parse_set, required=True)
+    sp.add_argument("--c", type=parse_seq, required=True)
 
     sp = sub.add_parser("admissible", help="can any qualifying monoid contain the seeds?")
-    sp.add_argument("--c", type=parse_set, required=True)
-    sp.add_argument("--x", type=parse_set, required=True)
+    sp.add_argument("--c", type=parse_seq, required=True)
+    sp.add_argument("--x", type=parse_seq, required=True)
 
     sp = sub.add_parser("check-incentive", help="does the monoid of --gens honour --c?")
-    sp.add_argument("--gens", type=parse_set, required=True)
-    sp.add_argument("--c", type=parse_set, required=True)
+    sp.add_argument("--gens", type=parse_seq, required=True)
+    sp.add_argument("--c", type=parse_seq, required=True)
 
     sp = sub.add_parser("closure", help="smallest qualifying monoid containing the seeds")
-    sp.add_argument("--c", type=parse_set, required=True)
-    sp.add_argument("--x", type=parse_set, required=True)
+    sp.add_argument("--c", type=parse_seq, required=True)
+    sp.add_argument("--x", type=parse_seq, required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("membership", help="membership of --n in a monoid or closure")
     sp.add_argument("--n", type=_bounded_int, required=True)
-    sp.add_argument("--gens", type=parse_set)
-    sp.add_argument("--c", type=parse_set)
-    sp.add_argument("--x", type=parse_set)
+    sp.add_argument("--gens", type=parse_seq)
+    sp.add_argument("--c", type=parse_seq)
+    sp.add_argument("--x", type=parse_seq)
     sp.set_defaults(usage_error=sp.error)
 
     sp = sub.add_parser("tree", help="tree of numerical semigroups honouring --c")
-    sp.add_argument("--c", type=parse_set, required=True)
-    sp.add_argument("--x", type=parse_set)
+    sp.add_argument("--c", type=parse_seq, required=True)
+    sp.add_argument("--x", type=parse_seq)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     sp = sub.add_parser("decompose", help="slice all qualifying monoids by gcd divisor")
-    sp.add_argument("--c", type=parse_set, required=True)
-    sp.add_argument("--x", type=parse_set)
+    sp.add_argument("--c", type=parse_seq, required=True)
+    sp.add_argument("--x", type=parse_seq)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     mab = sub.add_parser("mab", help="purchase/adjustment sequence model")
     mabsub = mab.add_subparsers(dest="action", required=True)
     sp = mabsub.add_parser("invoice", help="total of one sequence")
-    sp.add_argument("--a", type=parse_set, required=True)
-    sp.add_argument("--b", type=parse_set, required=True)
+    sp.add_argument("--a", type=parse_seq, required=True)
+    sp.add_argument("--b", type=parse_seq, required=True)
     sp.add_argument("--seq", type=parse_seq, required=True)
     sp = mabsub.add_parser("member", help="is --n an achievable total?")
-    sp.add_argument("--a", type=parse_set, required=True)
-    sp.add_argument("--b", type=parse_set, required=True)
+    sp.add_argument("--a", type=parse_seq, required=True)
+    sp.add_argument("--b", type=parse_seq, required=True)
     sp.add_argument("--n", type=_bounded_int, required=True)
     sp = mabsub.add_parser("set", help="achievable totals up to --bound")
-    sp.add_argument("--a", type=parse_set, required=True)
-    sp.add_argument("--b", type=parse_set, required=True)
+    sp.add_argument("--a", type=parse_seq, required=True)
+    sp.add_argument("--b", type=parse_seq, required=True)
     sp.add_argument("--bound", type=_nonneg_int, required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     ver = sub.add_parser("verify", help="cross-checks between independent engines")
     versub = ver.add_subparsers(dest="action", required=True)
     sp = versub.add_parser("theorem5", help="sequence totals equal the closure")
-    sp.add_argument("--a", type=parse_set, required=True)
-    sp.add_argument("--b", type=parse_set, required=True)
+    sp.add_argument("--a", type=parse_seq, required=True)
+    sp.add_argument("--b", type=parse_seq, required=True)
     sp.add_argument("--bound", type=_nonneg_int, required=True)
     sp = versub.add_parser("tree", help="tree enumeration equals brute force")
-    sp.add_argument("--c", type=parse_set, required=True)
+    sp.add_argument("--c", type=parse_seq, required=True)
     sp.add_argument("--max-frobenius", type=_nonneg_int, required=True)
     sp = versub.add_parser("closure-agreement", help="both closure engines agree")
-    sp.add_argument("--c", type=parse_set, required=True)
-    sp.add_argument("--x", type=parse_set, required=True)
+    sp.add_argument("--c", type=parse_seq, required=True)
+    sp.add_argument("--x", type=parse_seq, required=True)
     sp.add_argument("--bound", type=_nonneg_int, required=True)
 
     return p
@@ -203,6 +202,10 @@ def _closure_json(r: ClosureResult) -> dict:
 
 
 def _tree_lines(tree: IncentiveTree) -> list[str]:
+    kids: dict = {}
+    for n in tree.nodes:
+        if n.parent is not None:
+            kids.setdefault(n.parent, []).append(n)
     lines = []
     stack = [] if tree.root is None else [(tree.root, 0)]
     while stack:
@@ -211,7 +214,7 @@ def _tree_lines(tree: IncentiveTree) -> list[str]:
         x = n.removed_generator
         head = "" if x is None else f"remove {x} -> "
         lines.append(f"{'  ' * depth}{head}{sg.msg} frobenius={sg.frobenius} genus={sg.genus}")
-        for child in reversed(tree.children_of(n)):
+        for child in reversed(kids.get(n, ())):
             stack.append((child, depth + 1))
     lines.append(f"nodes={tree.node_count} truncated={_bool_text(tree.truncated)}")
     return lines

@@ -326,7 +326,8 @@ def numerical_semigroup(gens: GenSet | Iterable[int]) -> NumericalSemigroup:
     The generated set is grown until its last multiplicity-many values
     are all members; every larger value is then a member too, so the
     gaps are the non-members below that run and the largest of them is
-    the Frobenius number.
+    the Frobenius number.  A semigroup whose run does not appear by
+    _GENERATED_CEILING raises BoundTooLarge.
     """
     g = _as_genset(gens)
     d = gcd_of(g)
@@ -341,5 +342,9 @@ def numerical_semigroup(gens: GenSet | Iterable[int]) -> NumericalSemigroup:
         if bits >> (limit - m + 1) == (1 << m) - 1:
             gap_bits = ~bits & ((1 << (limit + 1)) - 1)
             return NumericalSemigroup(mg, gap_bits.bit_length() - 1, gap_bits)
-        # the last try is the ceiling itself; the doubling past it is refused
-        limit = 2 * limit if limit == _GENERATED_CEILING else min(2 * limit, _GENERATED_CEILING)
+        if limit == _GENERATED_CEILING:
+            raise BoundTooLarge(
+                f"{mg} needs a generated set past 2**24 values to find its Frobenius "
+                "number; generated sets are capped at 2**24"
+            )
+        limit = min(2 * limit, _GENERATED_CEILING)

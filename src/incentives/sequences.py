@@ -64,17 +64,13 @@ def is_ab_sequence(model: SequenceModel, xs: Sequence[int]) -> bool:
 
     Odd length, odd positions (1st, 3rd, ...) drawn from the prices, even
     positions from the adjustments, all plain integers.  The empty list
-    has even length 0 and is not a sequence.
+    has even length 0 and is not a sequence.  The rules are invoice's.
     """
-    if len(xs) % 2 == 0:
-        return False
     try:
-        _check_ints(tuple(xs), "sequence entries", InvalidSequence)
+        invoice(model, xs)
     except (InvalidSequence, ValueOutOfRange):
         return False
-    a = set(model.a_set)
-    b = set(model.b_set)
-    return all(v in (a if i % 2 == 0 else b) for i, v in enumerate(xs))
+    return True
 
 
 def invoice(model: SequenceModel, xs: Sequence[int]) -> int:

@@ -12,33 +12,26 @@ Child viability is decided without rebuilding the child: removing x is
 safe iff for every adjustment c the value x - c is either outside the
 parent, a minimal generator of the child, x itself, or 0.  Only c = 0
 gives x itself, so that adjustment is inert and the scan drops it.
-When -m (m the parent's smallest generator) is not an adjustment and x
-is not m, the child's generators can be replaced by the parent's own in
-that test, which skips computing them.  Two corrections to the obvious
-version of that shortcut, both confirmed against exhaustive search: the
-value 0 must stay allowed (it covers c equal to x itself), and removing
-the smallest generator always takes the slow path (that removal
-introduces generators 2m and 2m+1, which the shortcut cannot see).
 
 The minimal generators after removing x come from a closed form: for
 {0, m, ->} minus m the result is {m+1, ..., 2m+1}; otherwise the only
 candidate new generator is x + m, needed exactly when no other
 non-multiplicity generator n_j has x + m - n_j inside the parent.  The
 closed form is evaluated on masks alone (the parent's generator mask
-with bit x cleared, plus bit x + m when that is new), so a viability
-test builds no generator tuple; the tuple is sliced out of the parent's
-generators at x's index only for children kept.
+with bit x cleared, plus bit x + m when that is new), and the viability
+scan reads that mask and the parent's gaps, so it builds no generator
+tuple; the tuple is sliced out of the parent's generators at x's index
+only for children kept.
 
 Each node is expanded in one pass by _expand, which enumerate_tree
-calls once per tree level and children, child_viable (x as its one
-candidate) and msg_after_removal (x as its one candidate, no
-adjustments) call on a single node.  Per parent it reads m, the gap
-mask and the fast path's allowed mask (gaps or parent generators) once
-and tests -m against the adjustment set once; the candidates, the
-generators above the Frobenius number, start at an index found by
-bisection.  Per candidate x it costs one compare against the bound's
-limit and one viability scan, and a kept child one mask, one tuple, one
-record and one tree node.
+calls once per tree level and children calls on a single node;
+child_viable and msg_after_removal read their answer off children, with
+every other generator kept as a seed so that x is the one candidate.
+Per parent it reads m, the gap mask and the generators after m once;
+the candidates, the generators above the Frobenius number, start at an
+index found by bisection.  Per candidate x it costs one compare against
+the bound's limit, one closed-form mask and one viability scan, and a
+kept child one tuple, one record and one tree node.
 
 Nodes are NumericalSemigroup records on gap bitsets, and a child record
 is derived from its parent, never rebuilt: its gap set is the parent's
@@ -80,13 +73,13 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from typing import Collection, Iterable
 
-from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive
+from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive, strip_zero
 from .errors import BoundTooLarge, DomainError, InvalidRemoval, RootMissesX
 from .monoid import GenSet, NumericalSemigroup, _int_set
 
@@ -171,9 +164,6 @@ class IncentiveTree:
     bound: EnumerationBound
     nodes: list[TreeNode] = field(default_factory=list)
     truncated: bool = False
-    # parent -> children, built by children_of for the first len(nodes) nodes
-    _kids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _kids_size: int = field(default=-1, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -188,14 +178,8 @@ class IncentiveTree:
         return self.nodes[0] if self.nodes else None
 
     def children_of(self, node: TreeNode) -> list[TreeNode]:
-        """The node's children in id order, from an index rebuilt when nodes grows."""
-        if self._kids_size != len(self.nodes):
-            kids: dict = {}
-            for n in self.nodes:
-                if n.parent is not None:
-                    kids.setdefault(n.parent, []).append(n)
-            self._kids, self._kids_size = kids, len(self.nodes)
-        return list(self._kids.get(node, ()))
+        """The node's children in id order; one scan of nodes per call."""
+        return [n for n in self.nodes if n.parent is node]
 
     @property
     def leaves(self) -> list[TreeNode]:
@@ -275,37 +259,27 @@ def _check_removal(sg: NumericalSemigroup, x: int) -> None:
 def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
     """Minimal generators of the semigroup minus one generator x > frobenius.
 
-    This is _expand on x alone with no adjustments, under which every
-    removal is viable; the closed form is in the module docstring.
+    This is children with no adjustments, under which every removal is
+    viable, and every other generator kept; the closed form is in the
+    module docstring.
     """
     _check_removal(sg, x)
-    kids: list[TreeNode] = []
-    _expand([TreeNode(sg, None, None, 0, 0)], frozenset(), (), None, kids, False, x)
-    return kids[0].semigroup.msg
+    return children(sg, IncentiveSpec(()), [g for g in sg.msg.elements if g != x])[0][1].msg
 
 
 def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int]) -> bool:
     """Does the semigroup minus x still honour the constraint set?
 
     For every adjustment cc, the value x - cc must be outside the parent,
-    a minimal generator of the child, or 0.  The fast path substitutes
-    the parent's generators for the child's; it is valid unless -m is an
-    adjustment or x is the smallest generator (see the module docstring).
-    This is _expand on x alone.
+    a minimal generator of the child, or 0.  This is children with every
+    other generator kept, so x is the one candidate.
     """
-    cs = _scan_set(_as_spec(c).c_set)
+    spec = strip_zero(c)
     _check_removal(sg, x)
-    kids: list[TreeNode] = []
-    _expand([TreeNode(sg, None, None, 0, 0)], cs, (), None, kids, False, x)
-    return bool(kids)
+    return bool(children(sg, spec, [g for g in sg.msg.elements if g != x]))
 
 
-def _scan_set(c_set: tuple[int, ...]) -> frozenset[int]:
-    """The adjustments a viability scan tests: all but the inert 0 (x - 0 is x itself)."""
-    return frozenset(c_set) - {0}
-
-
-def _honours(x: int, cs: frozenset[int], ok: int) -> bool:
+def _honours(x: int, cs: tuple[int, ...], ok: int) -> bool:
     """Is every positive x - cc, for cc in cs, a bit of ok?"""
     for cc in cs:
         v = x - cc
@@ -316,18 +290,17 @@ def _honours(x: int, cs: frozenset[int], ok: int) -> bool:
 
 def _expand(
     parents: Iterable[TreeNode],
-    cs: frozenset[int],
+    cs: tuple[int, ...],
     required: Collection[int],
     bound: EnumerationBound | None,
     nodes: list[TreeNode],
     truncated: bool,
-    only: int | None = None,
 ) -> bool:
     """Expand each parent in one pass; append its kept children to nodes.
 
     A parent's candidates are its generators above the Frobenius number
-    in ascending order (only x, when given), minus those in required.
-    cs comes from _scan_set.  The bound (None: no bound) is settled once
+    in ascending order, minus those in required.  cs is the constraint
+    set without its inert 0.  The bound (None: no bound) is settled once
     per parent: its children all have the parent's genus and depth plus
     one, so frobenius_limit is the largest child Frobenius number, x, it
     admits.  A kept child is appended as a TreeNode with the next id.
@@ -336,9 +309,10 @@ def _expand(
     limit, and, once the tree is truncated, at the first x past it; a
     parent whose every candidate lies past it is not scanned.
 
-    A child's generator mask comes from the closed form (module
-    docstring) on masks alone, and its generator tuple is the parent's
-    without index i, plus x + m when that is new.
+    Every candidate's generator mask comes from the closed form (module
+    docstring) on masks alone, and the viability scan tests x against
+    it and the parent's gaps.  A kept child's generator tuple is the
+    parent's without index i, plus x + m when that is new.
     """
     frobenius_limit = None if bound is None else bound.frobenius_limit
     derived = NumericalSemigroup._derived
@@ -351,18 +325,11 @@ def _expand(
             limit = elems[-1]  # no candidate lies past the largest generator
         elif truncated and limit <= sg.frobenius:
             continue  # every candidate x > frobenius lies past the bound
-        if only is None:
-            start, stop = bisect_right(elems, sg.frobenius), len(elems)
-        else:
-            start = bisect_left(elems, only)
-            stop = start + 1
         m = elems[0]
         gaps = sg.gap_bits
         gen_bits = sg.gen_bits
-        # the values the fast path allows: the parent's gaps and generators
-        fast_ok = gaps | gen_bits
-        general = -m in cs
-        for i in range(start, stop):
+        rest = elems[1:]
+        for i in range(bisect_right(elems, sg.frobenius), len(elems)):
             x = elems[i]
             if x in required:
                 continue
@@ -371,16 +338,13 @@ def _expand(
             fits = x <= limit
             if not fits and truncated:
                 break
-            fast = i and not general
-            if fast and not _honours(x, cs, fast_ok):
-                continue
             top = x + m
             if i:
                 bits = gen_bits ^ 1 << x
                 # every generator is at most frobenius + m < x + m, so
                 # x + m - n_j is positive; x + m is new unless some other
                 # non-multiplicity generator n_j leaves it a member
-                for nj in islice(elems, 1, None):
+                for nj in rest:
                     if nj != x and not gaps >> (top - nj) & 1:
                         break
                 else:
@@ -389,7 +353,7 @@ def _expand(
                 # x = m > frobenius: sg is {0, m, ->}, and sg minus m has
                 # generators m+1, ..., 2m+1
                 bits = ((1 << (m + 1)) - 1) << (m + 1)
-            if not (fast or _honours(x, cs, gaps | bits)):
+            if not _honours(x, cs, gaps | bits):
                 continue
             if not fits:
                 truncated = True
@@ -416,7 +380,7 @@ def children(
     generators in it are never removed.  Its values must be plain
     integers, as seeds anywhere else.
     """
-    cs = _scan_set(_as_spec(c).c_set)
+    cs = strip_zero(c).c_set
     required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
     kids: list[TreeNode] = []
     _expand([TreeNode(sg, None, None, 0, 0)], cs, required, None, kids, False)
@@ -462,7 +426,7 @@ def enumerate_tree(
         return tree
     nodes = tree.nodes
     nodes.append(TreeNode(max_numerical_incentive(spec), None, None, 0, 0))
-    cs = _scan_set(spec.c_set)
+    cs = tuple(v for v in spec.c_set if v)
     required = frozenset(xs or ())
     # breadth-first by levels: each pass expands the nodes the last one added
     done = 0

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from incentives import EnumerationBound, MAX_DEPTH, enumerate_tree
-from incentives.cli import build_parser, parse_seq, parse_set, run
+from incentives.cli import build_parser, parse_seq, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,17 +21,13 @@ def cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_parse_set():
-    assert parse_set("-3,2") == (-3, 2)
-    assert parse_set("5,7,9,11") == (5, 7, 9, 11)
-    assert parse_set("2,2") == (2,)
-    assert parse_set("7") == (7,)
+def test_parse_seq_rejects_bad_tokens():
     with pytest.raises(Exception):
-        parse_set("a,b")
+        parse_seq("a,b")
     with pytest.raises(Exception):
-        parse_set("")
+        parse_seq("")
     with pytest.raises(Exception):
-        parse_set(str(2**31 + 1))
+        parse_seq(str(2**31 + 1))
 
 
 def test_parse_seq_keeps_order_and_repeats():
@@ -144,6 +141,31 @@ def test_tree_dot():
     assert out.startswith("digraph")
     assert out.endswith("}\n")
     assert 'label="⟨4,5,6,7⟩"' in out
+
+
+# sha256 of stdout for the tree command lines of the CLI benchmark
+# (bench/workloads.py, Cli.TREES), in each output format
+TREE_OUTPUT_SHA256 = {
+    ("-3,2", 12, "text"): "44ff58f78234aab93fd4f5dc7daa642931d1879f9e623cfdf0bbfd3c89e34723",
+    ("-3,2", 12, "json"): "3275209a29365b3f8d2317c34470c11fe8683635dabf73051a6c5ae221d96761",
+    ("-3,2", 12, "dot"): "bbcc4e3a2b507ec1b17c5be7c97d558599b83282017624cf79189ac8377966b1",
+    ("5", 11, "text"): "7654f1b589739abec45df9c1183cbc49269440b7fa3d9e5a0f19b2c9b3b8d6e0",
+    ("5", 11, "json"): "e30766fef2fbcbc636e29a5eb704e4ab7a70b7433dc7287eb646218a6760acbb",
+    ("5", 11, "dot"): "98df9d09a86f9588dd81217c2e5d411aa7e6b8dea98f721e04447444016bef30",
+    ("-5,1,4", 13, "text"): "f9d813bf279f7412cc2ff0f10270e4b702b4015e8cc70703f2290a2c15ba841b",
+    ("-5,1,4", 13, "json"): "81f1193ea44b0afe0881d6c0c59a0c8ab74391d49d5735d7386f03bc1e246656",
+    ("-5,1,4", 13, "dot"): "9fc5717e186979bf8ff07b4595aec3a18109becd1e0ec4eb9afa18ca35cae760",
+    ("-7,3", 14, "text"): "c5eb0969f2d4f57ec7916c0c302e4fd21998f3ecbcca52860e4a6f3982e0f1bf",
+    ("-7,3", 14, "json"): "4bca5e75e83590f610d3273c3cb49d5e5010c3022634accf1ad82d0a17a5cf91",
+    ("-7,3", 14, "dot"): "f952248c741efe30de595b63fba0bf260db41cfa3b209cf47f29161e5952f569",
+}
+
+
+@pytest.mark.parametrize("cs, genus, fmt", list(TREE_OUTPUT_SHA256))
+def test_tree_output_bytes_are_pinned(cs, genus, fmt):
+    code, out, err = cli("tree", f"--c={cs}", f"--max-genus={genus}", f"--format={fmt}")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TREE_OUTPUT_SHA256[cs, genus, fmt]
 
 
 def test_tree_default_bound_is_genus_20():

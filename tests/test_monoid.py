@@ -213,6 +213,16 @@ def test_generated_set_ceiling():
     assert time.perf_counter() - start < 0.1
 
 
+def test_numerical_semigroup_refusal_names_the_semigroup():
+    # F = 16,785,407: no run of 4097 members appears by the 2**24 ceiling
+    with pytest.raises(
+        BoundTooLarge,
+        match=r"^⟨4097,4099⟩ needs a generated set past 2\*\*24 values to find its "
+        r"Frobenius number; generated sets are capped at 2\*\*24$",
+    ):
+        numerical_semigroup((4097, 4099))
+
+
 @pytest.mark.parametrize(
     "call",
     [

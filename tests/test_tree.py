@@ -1,3 +1,4 @@
+import hashlib
 import json
 import signal
 import time
@@ -162,6 +163,25 @@ def test_large_root_expands_on_masks():
     assert tree.nodes[1].semigroup.msg.elements == tuple(range(th + 1, 2 * th + 2))
 
 
+def test_single_removals_build_one_child(monkeypatch):
+    # child_viable and msg_after_removal keep every other generator, so
+    # a root with a thousand candidates yields at most one child record
+    th = 2**10
+    root = max_numerical_incentive((-th,))
+    built = []
+    derived = monoid_mod.NumericalSemigroup._derived
+
+    def counting(*args):
+        built.append(args[1])
+        return derived(*args)
+
+    monkeypatch.setattr(monoid_mod.NumericalSemigroup, "_derived", staticmethod(counting))
+    assert th + 5 not in msg_after_removal(root, th + 5).elements
+    assert child_viable(root, th + 1, (-th,))
+    assert not child_viable(root, th + 2, (-th,))
+    assert built == [th + 5, th + 1]
+
+
 def test_child_viable_battery():
     s = numerical_semigroup((5, 7, 9, 11, 13))
     assert not child_viable(s, 9, {-3, 2})
@@ -179,8 +199,9 @@ def test_child_viable_battery():
 
 
 def test_child_viable_smallest_generator_cases():
-    # removing the multiplicity must take the general path: the naive
-    # shortcut would reject these, but the children really do qualify
+    # removing the multiplicity adds generators 2m and 2m+1; testing x
+    # against the parent's generators instead would reject these, but the
+    # children really do qualify
     naturals = numerical_semigroup((1,))
     assert child_viable(naturals, 1, {-2})
     assert child_viable(naturals, 1, {-1})
@@ -195,7 +216,7 @@ def test_child_viable_zero_difference_is_ignored():
 
 
 def test_child_viable_matches_is_incentive_of_the_child():
-    # both the fast path and the general one answer against the pair test
+    # the viability scan answers against the pair test on the child
     cases = 0
     for cs in SIX_CONSTRAINT_SETS:
         for sg in brute_force_family(cs, 9).values():
@@ -441,6 +462,25 @@ def test_dot_output():
     assert dot.count("->") == tree.node_count - 1
 
 
+# sha256 of to_json() for the five fixed trees of the tree benchmark
+# (bench/workloads.py, Tree.FIXED): any change to the expansion must keep
+# these bytes
+TREE_JSON_SHA256 = {
+    ((0,), 18): "344c226982d3cde79f92eb5a59c3eb01b6b16763e5bc653e359e166bbdb0433c",
+    ((-3, 2), 19): "840918f85fc09d2821bafa6c3c7a98652823df63b2b062daf328a3c43642c11d",
+    ((5,), 18): "2ca6cd8635e0adf224c09ceaf57eed6880ad36a122bb2431c35da74b25a3c4fd",
+    ((-7, 3), 20): "f67bbfc404692eea91ada1e19e2df34e88e3de3e8cb3a2f0252472d8cfb93ce6",
+    ((-5, 1, 4), 20): "cffca16c82ddd7fe117b587c4945b8682a4147f7006587c40071acbc1e321d94",
+}
+
+
+@pytest.mark.parametrize("cs, genus", list(TREE_JSON_SHA256))
+def test_tree_json_bytes_are_pinned(cs, genus):
+    tree = enumerate_tree(cs, None, EnumerationBound(MAX_GENUS, genus))
+    digest = hashlib.sha256(tree.to_json().encode()).hexdigest()
+    assert digest == TREE_JSON_SHA256[cs, genus]
+
+
 def test_is_finite_family():
     assert is_finite_family({-3, 2}, {5})
     assert is_finite_family({-4, 6}, {4, 9})
@@ -539,7 +579,7 @@ def test_children_of_index_matches_parent_links():
         kids = tree.children_of(n)
         assert [k.node_id for k in kids] == want[n.node_id]
         assert all(k.parent is n for k in kids)
-    # the index follows nodes appended after it was built
+    # children_of follows nodes appended after enumeration
     root = tree.root
     extra = tree_mod.TreeNode(root.semigroup, root, None, 1, tree.node_count)
     tree.nodes.append(extra)
