@@ -20,16 +20,16 @@ print(f"nodes with frobenius <= 8: {tree.node_count} (truncated: {tree.truncated
 print()
 
 
-def show(tree, node):
+def show(kids, node):
     pad = "  " * node.depth
     sg = node.semigroup
     tag = f" (removed {node.removed_generator})" if node.parent is not None else ""
     print(f"{pad}{sg} frobenius={sg.frobenius} genus={sg.genus}{tag}")
-    for child in tree.children_of(node):
-        show(tree, child)
+    for child in kids[node]:
+        show(kids, child)
 
 
-show(tree, tree.root)
+show(tree.children_by_parent(), tree.root)
 print()
 
 # Exhaustive cross-check: collect every numerical monoid with small

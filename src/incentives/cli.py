@@ -202,10 +202,7 @@ def _closure_json(r: ClosureResult) -> dict:
 
 
 def _tree_lines(tree: IncentiveTree) -> list[str]:
-    kids: dict = {}
-    for n in tree.nodes:
-        if n.parent is not None:
-            kids.setdefault(n.parent, []).append(n)
+    kids = tree.children_by_parent()
     lines = []
     stack = [] if tree.root is None else [(tree.root, 0)]
     while stack:
@@ -214,7 +211,7 @@ def _tree_lines(tree: IncentiveTree) -> list[str]:
         x = n.removed_generator
         head = "" if x is None else f"remove {x} -> "
         lines.append(f"{'  ' * depth}{head}{sg.msg} frobenius={sg.frobenius} genus={sg.genus}")
-        for child in reversed(kids.get(n, ())):
+        for child in reversed(kids[n]):
             stack.append((child, depth + 1))
     lines.append(f"nodes={tree.node_count} truncated={_bool_text(tree.truncated)}")
     return lines

@@ -237,8 +237,9 @@ class NumericalSemigroup:
     gen_bits: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gen_bits", _bitmask(self.msg.elements))
-        self._check_bits()
+        gen_bits = _bitmask(self.msg.elements)
+        object.__setattr__(self, "gen_bits", gen_bits)
+        _check_bits(self.frobenius, self.gap_bits, gen_bits)
 
     @classmethod
     def _derived(
@@ -248,10 +249,14 @@ class NumericalSemigroup:
 
         The caller guarantees that elements are strictly increasing
         positive ints and that gen_bits is their mask, so GenSet's checks
-        and _bitmask are skipped; the bit invariants still run.  The slots
-        are filled through the member descriptors, which skip the frozen
-        __setattr__ and cost less than object.__setattr__.
+        and _bitmask are skipped.  The three bit invariants of
+        _check_bits still hold, screened by one inline expression; the
+        error is built by _check_bits only when the screen fails.  The
+        slots are filled through the member descriptors, which skip the
+        frozen __setattr__ and cost less than object.__setattr__.
         """
+        if frobenius != gap_bits.bit_length() - 1 or gap_bits & 1 or gen_bits & gap_bits:
+            _check_bits(frobenius, gap_bits, gen_bits)
         gens = object.__new__(GenSet)
         _SET_ELEMENTS(gens, elements)
         sg = object.__new__(cls)
@@ -259,20 +264,7 @@ class NumericalSemigroup:
         _SET_FROBENIUS(sg, frobenius)
         _SET_GAP_BITS(sg, gap_bits)
         _SET_GEN_BITS(sg, gen_bits)
-        sg._check_bits()
         return sg
-
-    def _check_bits(self) -> None:
-        """The invariants every construction keeps: three bit tests."""
-        gaps = self.gap_bits
-        if self.frobenius != gaps.bit_length() - 1:
-            raise InternalInvariant(
-                f"frobenius {self.frobenius} does not match gap set {self.gaps}"
-            )
-        if gaps & 1:
-            raise InternalInvariant("0 is a member of every monoid, not a gap")
-        if self.gen_bits & gaps:
-            raise InternalInvariant("a minimal generator cannot be a gap")
 
     def __contains__(self, n: int) -> bool:
         return n >= 0 and not self.gap_bits >> n & 1
@@ -310,6 +302,23 @@ class NumericalSemigroup:
 
     def __str__(self) -> str:
         return str(self.msg)
+
+
+def _check_bits(frobenius: int, gap_bits: int, gen_bits: int) -> None:
+    """The invariants every semigroup record keeps: three bit tests.
+
+    Raises InternalInvariant naming the first one broken.
+    NumericalSemigroup._derived screens the same three tests inline and
+    calls this only when one fails.
+    """
+    if frobenius != gap_bits.bit_length() - 1:
+        raise InternalInvariant(
+            f"frobenius {frobenius} does not match gap set {tuple(_ascending(gap_bits))}"
+        )
+    if gap_bits & 1:
+        raise InternalInvariant("0 is a member of every monoid, not a gap")
+    if gen_bits & gap_bits:
+        raise InternalInvariant("a minimal generator cannot be a gap")
 
 
 # slot setters of the frozen records, for NumericalSemigroup._derived

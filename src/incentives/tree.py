@@ -23,15 +23,16 @@ scan reads that mask and the parent's gaps, so it builds no generator
 tuple; the tuple is sliced out of the parent's generators at x's index
 only for children kept.
 
-Each node is expanded in one pass by _expand, which enumerate_tree
-calls once per tree level and children calls on a single node;
-child_viable and msg_after_removal read their answer off children, with
-every other generator kept as a seed so that x is the one candidate.
-Per parent it reads m, the gap mask and the generators after m once;
-the candidates, the generators above the Frobenius number, start at an
-index found by bisection.  Per candidate x it costs one compare against
-the bound's limit, one closed-form mask and one viability scan, and a
-kept child one tuple, one record and one tree node.
+Each tree level is expanded by one _expand call, which enumerate_tree
+makes once per level and children makes on a single node; child_viable
+and msg_after_removal read their answer off children, with every other
+generator kept as a seed so that x is the one candidate.  Per parent it
+reads m, the gap mask and the generators after m once; the candidates,
+the generators above the Frobenius number, start at an index found by
+bisection.  Per candidate x it costs one compare against the level's
+limit, one closed-form mask and one viability scan (none when C holds
+no adjustment but 0), and a kept child one tuple, one record and one
+tree node.
 
 Nodes are NumericalSemigroup records on gap bitsets, and a child record
 is derived from its parent, never rebuilt: its gap set is the parent's
@@ -46,21 +47,23 @@ invariants.  Semigroups, their generator sets and tree nodes are
 slotted records.
 
 Traversal is breadth-first in one thread, and the enumeration bound is
-settled once per parent, before any child is built: every child's
-genus is the parent's plus one and its depth the parent's plus one, so
-EnumerationBound.frobenius_limit turns the bound into the largest child
-Frobenius number it admits, and a child's Frobenius number is its x.
-Along the ascending scan of x the verdict can only turn from admitted to
-rejected, so the scan stops at the first viable x past the limit (that
-child only marks the tree truncated), and once the tree is known to be
-truncated it stops at the first x past the limit without testing
-viability.  A frontier node whose children all lie past the limit is
-therefore not expanded at all once truncation is known.  The root's
-Frobenius number and genus (theta - 1 for {0, theta, ->}, -1 and 0 for
-N) are known before the root is built, so a bound that excludes the
-root returns an empty tree without allocating it.  Without a bound
-value only a finite family (is_finite_family) is enumerated; an
-infinite one raises BoundTooLarge before the root is built.
+settled once per level, before any child is built: every node of level
+d has genus root_genus + d and depth d, so
+EnumerationBound.frobenius_limit turns the bound into the largest
+Frobenius number it admits for the children of level d, and a child's
+Frobenius number is its x.  Along the ascending scan of x the verdict
+can only turn from admitted to rejected, so the scan stops at the first
+viable x past the limit (that child only marks the tree truncated), and
+once the tree is known to be truncated it stops at the first x past the
+limit without testing viability.  A
+frontier node whose children all lie past the limit is therefore not
+expanded at all once truncation is known, and a level whose limit
+admits no child is left at its first such node.  The root's Frobenius
+number and genus (theta - 1 for {0, theta, ->}, -1 and 0 for N) are
+known before the root is built, so a bound that excludes the root
+returns an empty tree without allocating it.  Without a bound value
+only a finite family (is_finite_family) is enumerated; an infinite one
+raises BoundTooLarge before the root is built.
 
 brute_force_family is the independent oracle: it enumerates candidate
 gap sets directly and keeps the complements that are addition-closed
@@ -131,9 +134,9 @@ class EnumerationBound:
         """The largest Frobenius number allows admits at this genus and depth.
 
         None when it admits every Frobenius number, -2 (below every
-        Frobenius number) when it admits none.  The children of one
-        parent share their genus and depth, so _expand settles this once
-        per parent and each candidate x costs one compare.
+        Frobenius number) when it admits none.  The children of one tree
+        level share their genus and depth, so enumerate_tree settles this
+        once per level and each candidate x costs one compare.
         """
         v = self.value
         if v is None:
@@ -180,6 +183,18 @@ class IncentiveTree:
     def children_of(self, node: TreeNode) -> list[TreeNode]:
         """The node's children in id order; one scan of nodes per call."""
         return [n for n in self.nodes if n.parent is node]
+
+    def children_by_parent(self) -> dict[TreeNode, list[TreeNode]]:
+        """Every node's children in id order, keyed by node; linear in the node count.
+
+        A whole-tree walk reads this once, where children_of would scan
+        the nodes once per node visited.
+        """
+        kids: dict[TreeNode, list[TreeNode]] = {n: [] for n in self.nodes}
+        for n in self.nodes:
+            if n.parent in kids:
+                kids[n.parent].append(n)
+        return kids
 
     @property
     def leaves(self) -> list[TreeNode]:
@@ -292,39 +307,42 @@ def _expand(
     parents: Iterable[TreeNode],
     cs: tuple[int, ...],
     required: Collection[int],
-    bound: EnumerationBound | None,
+    limit: int | None,
     nodes: list[TreeNode],
     truncated: bool,
 ) -> bool:
-    """Expand each parent in one pass; append its kept children to nodes.
+    """Expand one tree level, each parent in one pass; append kept children to nodes.
 
     A parent's candidates are its generators above the Frobenius number
     in ascending order, minus those in required.  cs is the constraint
-    set without its inert 0.  The bound (None: no bound) is settled once
-    per parent: its children all have the parent's genus and depth plus
-    one, so frobenius_limit is the largest child Frobenius number, x, it
-    admits.  A kept child is appended as a TreeNode with the next id.
-    Returns whether the tree is truncated: truncated, or a viable x lay
-    past a limit.  A parent's scan stops at its first viable x past the
-    limit, and, once the tree is truncated, at the first x past it; a
-    parent whose every candidate lies past it is not scanned.
+    set without its inert 0.  limit is the largest child Frobenius
+    number, x, the bound admits at this level (frobenius_limit; None: no
+    bound), settled once by the caller for every parent.  A kept child
+    is appended as a TreeNode with the next id.  Returns whether the
+    tree is truncated: truncated, or a viable x lay past the limit.  A
+    parent's scan stops at its first viable x past the limit, and, once
+    the tree is truncated, at the first x past it; a parent whose every
+    candidate lies past it is not scanned, and when the limit admits no
+    child at all (-2) the rest of the level is left at once.
 
     Every candidate's generator mask comes from the closed form (module
     docstring) on masks alone, and the viability scan tests x against
     it and the parent's gaps.  A kept child's generator tuple is the
     parent's without index i, plus x + m when that is new.
     """
-    frobenius_limit = None if bound is None else bound.frobenius_limit
     derived = NumericalSemigroup._derived
     for node in parents:
         sg = node.semigroup
         elems = sg.msg.elements
-        depth = node.depth + 1
-        limit = None if frobenius_limit is None else frobenius_limit(sg.genus + 1, depth)
         if limit is None:
-            limit = elems[-1]  # no candidate lies past the largest generator
+            fit = elems[-1]  # no candidate lies past the largest generator
         elif truncated and limit <= sg.frobenius:
+            if limit < 0:
+                return True  # no parent of this level can have a child
             continue  # every candidate x > frobenius lies past the bound
+        else:
+            fit = limit
+        depth = node.depth + 1
         m = elems[0]
         gaps = sg.gap_bits
         gen_bits = sg.gen_bits
@@ -335,7 +353,7 @@ def _expand(
                 continue
             # the child's Frobenius number is x, so fits can only turn
             # from True to False as x grows
-            fits = x <= limit
+            fits = x <= fit
             if not fits and truncated:
                 break
             top = x + m
@@ -353,7 +371,7 @@ def _expand(
                 # x = m > frobenius: sg is {0, m, ->}, and sg minus m has
                 # generators m+1, ..., 2m+1
                 bits = ((1 << (m + 1)) - 1) << (m + 1)
-            if not _honours(x, cs, gaps | bits):
+            if cs and not _honours(x, cs, gaps | bits):
                 continue
             if not fits:
                 truncated = True
@@ -428,12 +446,15 @@ def enumerate_tree(
     nodes.append(TreeNode(max_numerical_incentive(spec), None, None, 0, 0))
     cs = tuple(v for v in spec.c_set if v)
     required = frozenset(xs or ())
-    # breadth-first by levels: each pass expands the nodes the last one added
-    done = 0
+    # breadth-first by levels: each pass expands the nodes the last one
+    # added, and every node of level d has genus root_genus + d and depth d
+    done = depth = 0
     while done < len(nodes):
         level = islice(nodes, done, len(nodes))
         done = len(nodes)
-        tree.truncated = _expand(level, cs, required, bound, nodes, tree.truncated)
+        depth += 1  # the depth of the children this pass builds
+        limit = bound.frobenius_limit(root_genus + depth, depth)
+        tree.truncated = _expand(level, cs, required, limit, nodes, tree.truncated)
     return tree
 
 

@@ -194,6 +194,24 @@ def test_numerical_semigroup_invariant_checks():
         NumericalSemigroup(gens, 1, 0b11)  # 0 is a gap
 
 
+def test_derived_invariant_checks_match_the_constructor():
+    # _derived screens the same three bit invariants in one expression and
+    # raises the constructor's error for each
+    derived = NumericalSemigroup._derived
+    assert derived((2, 3), 1, 0b10, 0b1100).gaps == (1,)
+    gens = GenSet((2, 3))
+    for frobenius, gap_bits in (
+        (3, 0b1010),  # generator 3 is a gap
+        (2, 0b10),  # frobenius is 1, not 2
+        (1, 0b11),  # 0 is a gap
+    ):
+        with pytest.raises(InternalInvariant) as public:
+            NumericalSemigroup(gens, frobenius, gap_bits)
+        with pytest.raises(InternalInvariant) as trusted:
+            derived((2, 3), frobenius, gap_bits, 0b1100)
+        assert str(trusted.value) == str(public.value)
+
+
 def test_bitmask_is_linear():
     assert _bitmask(()) == 0
     for vals in ((0,), (1, 3, 5), (7, 8, 9, 64), range(200, 300)):

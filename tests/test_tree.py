@@ -588,6 +588,19 @@ def test_children_of_index_matches_parent_links():
     assert tree.children_of(outsider) == []
 
 
+def test_children_by_parent_matches_parent_links():
+    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 15))
+    assert tree.node_count >= 5000
+    want = {n.node_id: [] for n in tree.nodes}
+    for n in tree.nodes:
+        if n.parent is not None:
+            want[n.parent.node_id].append(n.node_id)
+    kids = tree.children_by_parent()
+    assert list(kids) == tree.nodes
+    assert {n.node_id: [k.node_id for k in ks] for n, ks in kids.items()} == want
+    assert all(k.parent is n for n, ks in kids.items() for k in ks)
+
+
 def test_records_are_slotted():
     node = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 3)).nodes[-1]
     for record in (node, node.semigroup, node.semigroup.msg):
@@ -742,6 +755,43 @@ def test_bound_is_consulted_once_per_parent_not_per_candidate(monkeypatch, bound
     # one check of the root, then at most one per expanded parent
     assert calls["allows"] == 1
     assert calls["frobenius_limit"] <= tree.node_count
+
+
+@pytest.mark.parametrize("cs", [(0,), (-3, 2)])
+def test_bound_is_settled_once_per_level(monkeypatch, cs):
+    calls = []
+    original = EnumerationBound.frobenius_limit
+
+    def counting(self, genus, depth):
+        calls.append((genus, depth))
+        return original(self, genus, depth)
+
+    monkeypatch.setattr(EnumerationBound, "frobenius_limit", counting)
+    tree = enumerate_tree(cs, None, EnumerationBound(MAX_GENUS, 12))
+    assert tree.truncated
+    # one call per expanded level, for the genus and depth of its children
+    assert len(calls) <= tree.max_depth + 2
+    root_genus = tree.root.semigroup.genus
+    assert calls == [(root_genus + d, d) for d in range(1, len(calls) + 1)]
+
+
+def test_viability_scans_are_pinned(monkeypatch):
+    calls = [0]
+    original = tree_mod._honours
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(tree_mod, "_honours", counting)
+    # scanning the frontier parent by parent once the tree is truncated
+    # would test candidates the bound already rejects
+    tree = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 12))
+    assert (tree.node_count, calls[0]) == (215, 599)
+    # with no adjustment but the inert 0 there is nothing to scan
+    calls[0] = 0
+    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 12))
+    assert (tree.node_count, calls[0]) == (1413, 0)
 
 
 # The numerical C-incentives form a Frobenius pseudo-variety: the root
