@@ -324,13 +324,8 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        parser = build_parser()
         try:
-            ns = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-        try:
-            return _dispatch(ns)
+            return _dispatch(build_parser().parse_args(argv))
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         except DomainError as exc:

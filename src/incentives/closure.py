@@ -310,7 +310,9 @@ def _slack_profile(adds: tuple[int, ...], shifts: tuple[int, ...], cap: int) -> 
     Values are capped at cap + slack_cap * theta and slacks clamped to
     [-slack_cap, slack_cap]; any witness needs at most ceil(cap / min add)
     + 1 adds laid down before its shifts, so the windows lose nothing.
-    Entries below -slack_cap mean unreachable.
+    Entries below -slack_cap mean unreachable.  shifts hold no 0
+    (closure_membership and m_ab_membership strip it); a zero shift would
+    only lower the slack at the same value.
     """
     th = -min(shifts + (0,))
     minx = adds[0]
@@ -340,8 +342,6 @@ def _slack_profile(adds: tuple[int, ...], shifts: tuple[int, ...], cap: int) -> 
         down = k - 1
         if down >= floor:
             for cc in shifts:
-                if cc == 0:
-                    continue
                 w = v + cc
                 if 0 <= w <= vmax and down > f[w]:
                     f[w] = down

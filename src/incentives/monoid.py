@@ -127,10 +127,7 @@ class GenSet:
 
 def monoid_from_generators(gens: Iterable[int]) -> GenSet:
     """Sort, deduplicate, and validate raw generators."""
-    elems = _int_set(gens, "generators")
-    if not elems:
-        raise InvalidGenerators("at least one generator is required")
-    return GenSet(elems)
+    return GenSet(_int_set(gens, "generators"))
 
 
 def _as_genset(gens: GenSet | Iterable[int]) -> GenSet:
@@ -345,7 +342,7 @@ def numerical_semigroup(gens: GenSet | Iterable[int]) -> NumericalSemigroup:
     mg = msg(g)
     elems = mg.elements
     m = elems[0]
-    limit = 2 * elems[-1]
+    limit = min(2 * elems[-1], _GENERATED_CEILING)
     while True:
         bits = _generated(elems, limit)
         if bits >> (limit - m + 1) == (1 << m) - 1:

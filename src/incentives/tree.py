@@ -180,15 +180,11 @@ class IncentiveTree:
     def root(self) -> TreeNode | None:
         return self.nodes[0] if self.nodes else None
 
-    def children_of(self, node: TreeNode) -> list[TreeNode]:
-        """The node's children in id order; one scan of nodes per call."""
-        return [n for n in self.nodes if n.parent is node]
-
     def children_by_parent(self) -> dict[TreeNode, list[TreeNode]]:
         """Every node's children in id order, keyed by node; linear in the node count.
 
-        A whole-tree walk reads this once, where children_of would scan
-        the nodes once per node visited.
+        The one child index of a tree: a whole-tree walk reads it once,
+        and a single lookup is children_by_parent()[node].
         """
         kids: dict[TreeNode, list[TreeNode]] = {n: [] for n in self.nodes}
         for n in self.nodes:
@@ -198,8 +194,7 @@ class IncentiveTree:
 
     @property
     def leaves(self) -> list[TreeNode]:
-        parents = {id(n.parent) for n in self.nodes if n.parent is not None}
-        return [n for n in self.nodes if id(n) not in parents]
+        return [n for n, kids in self.children_by_parent().items() if not kids]
 
     def to_json_dict(self) -> dict:
         return {

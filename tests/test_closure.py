@@ -20,6 +20,7 @@ from incentives import (
     half_theta_is_incentive,
     is_admissible,
     is_incentive,
+    membership,
     strip_zero,
     theta,
 )
@@ -183,6 +184,22 @@ def test_closure_membership_of_reduced_seeds_holding_one():
             got = closure_membership(xs, cs, target)
             assert time.perf_counter() - start < 0.01
             assert got == closure_msg(xs, cs).member(target) == (target == n)
+
+
+def test_large_seed_membership_matches_pair_sum_identity():
+    # the closure of reduced seeds X with min X >= theta is {0} ∪ (X + <P>),
+    # where P = X ∪ {x + c > 0}: each adjustment pairs with its own seed.
+    # The fixpoint does not finish on these seeds; the slack table answers.
+    xs, cs = (16385, 16387), (-7, 3)
+    ps = sorted(set(xs) | {x + c for x in xs for c in cs if x + c > 0})
+    answers = set()
+    for n in (16385, 16386, 32763, 50000, 98304, 500000, 59 * 16378 + 16385, 999_485, 10**6):
+        start = time.perf_counter()
+        got = closure_membership(xs, cs, n)
+        assert time.perf_counter() - start < 2, n
+        assert got == (n == 0 or any(membership(ps, n - x) for x in xs if x <= n)), n
+        answers.add(got)
+    assert answers == {True, False}
 
 
 def test_closure_zero_adjustment_is_plain_monoid():

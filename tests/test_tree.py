@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 import signal
 import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import incentives.closure as closure_mod
 import incentives.monoid as monoid_mod
@@ -356,6 +359,27 @@ def test_unbounded_enumeration_of_finite_family():
     assert deepest.semigroup.msg.elements == r.msg.elements
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_closure_is_the_intersection_of_its_finite_family(data):
+    # the C-incentives containing X with gcd(X ∪ C) = 1 form a finite
+    # family closed under intersection, so the smallest closure is the
+    # intersection of every node, and the only node of maximal genus
+    cs = data.draw(st.sets(st.integers(-5, 5), min_size=1, max_size=3))
+    th = max(-min(cs), 1)
+    xs = data.draw(st.sets(st.integers(th, th + 12), min_size=1, max_size=3))
+    assume(math.gcd(*xs, *cs) == 1)
+    closure = closure_msg(xs, cs).semigroup
+    assume(closure.genus <= 10)
+    family = [n.semigroup for n in enumerate_tree(cs, xs, EnumerationBound(MAX_GENUS, None)).nodes]
+    gaps = 0
+    for sg in family:
+        gaps |= sg.gap_bits
+    assert gaps == closure.gap_bits
+    top = max(sg.genus for sg in family)
+    assert [sg for sg in family if sg.genus == top] == [closure]
+
+
 def _assert_nodes_rebuild(tree):
     """Every derived node record equals the one numerical_semigroup builds."""
     for n in tree.nodes:
@@ -389,18 +413,20 @@ def test_restricted_tree_matches_filtered_brute_force():
         _assert_nodes_rebuild(tree)
 
 
-# OEIS A007323: numerical semigroups of genus g, g = 0..15
-A007323 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857)
+# OEIS A007323: numerical semigroups of genus g, g = 0..18
+A007323 = (
+    1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467
+)
 
 
 def test_unconstrained_tree_genus_counts_match_a007323():
     # C = {0} constrains nothing, so the tree holds every numerical semigroup
-    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 15))
-    counts = [0] * 16
+    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 18))
+    counts = [0] * 19
     for n in tree.nodes:
         counts[n.semigroup.genus] += 1
     assert tuple(counts) == A007323
-    assert tree.node_count == 6964
+    assert tree.node_count == 33282
     assert tree.truncated
 
 
@@ -568,26 +594,6 @@ def test_brute_force_members_are_incentives():
         assert is_incentive(m, (-3, 2))
 
 
-def test_children_of_index_matches_parent_links():
-    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 15))
-    assert tree.node_count >= 5000
-    want = {n.node_id: [] for n in tree.nodes}
-    for n in tree.nodes:
-        if n.parent is not None:
-            want[n.parent.node_id].append(n.node_id)
-    for n in tree.nodes:
-        kids = tree.children_of(n)
-        assert [k.node_id for k in kids] == want[n.node_id]
-        assert all(k.parent is n for k in kids)
-    # children_of follows nodes appended after enumeration
-    root = tree.root
-    extra = tree_mod.TreeNode(root.semigroup, root, None, 1, tree.node_count)
-    tree.nodes.append(extra)
-    assert tree.children_of(root)[-1] is extra
-    outsider = tree_mod.TreeNode(root.semigroup, None, None, 0, -1)
-    assert tree.children_of(outsider) == []
-
-
 def test_children_by_parent_matches_parent_links():
     tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 15))
     assert tree.node_count >= 5000
@@ -599,6 +605,12 @@ def test_children_by_parent_matches_parent_links():
     assert list(kids) == tree.nodes
     assert {n.node_id: [k.node_id for k in ks] for n, ks in kids.items()} == want
     assert all(k.parent is n for n, ks in kids.items() for k in ks)
+    # the index follows nodes appended after enumeration
+    root = tree.root
+    extra = tree_mod.TreeNode(root.semigroup, root, None, 1, tree.node_count)
+    tree.nodes.append(extra)
+    assert tree.children_by_parent()[root][-1] is extra
+    assert extra in tree.leaves
 
 
 def test_records_are_slotted():
