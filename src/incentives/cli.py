@@ -35,6 +35,7 @@ from .tree import (
     MAX_GENUS,
     EnumerationBound,
     IncentiveTree,
+    _msg_text,
     brute_force_family,
     decompose,
     enumerate_tree,
@@ -202,17 +203,20 @@ def _closure_json(r: ClosureResult) -> dict:
 
 
 def _tree_lines(tree: IncentiveTree) -> list[str]:
+    gaps, gens, removed = tree.gap_bits, tree.gen_bits, tree.removed
     kids = tree.children_by_parent()
     lines = []
     stack = [] if tree.root is None else [(tree.root, 0)]
     while stack:
         n, depth = stack.pop()
-        sg = n.semigroup
-        x = n.removed_generator
-        head = "" if x is None else f"remove {x} -> "
-        lines.append(f"{'  ' * depth}{head}{sg.msg} frobenius={sg.frobenius} genus={sg.genus}")
-        for child in reversed(kids[n]):
-            stack.append((child, depth + 1))
+        i = n.node_id
+        g = gaps[i]
+        head = f"remove {removed[i]} -> " if i else ""
+        lines.append(
+            f"{'  ' * depth}{head}{_msg_text(gens[i])} "
+            f"frobenius={g.bit_length() - 1} genus={g.bit_count()}"
+        )
+        stack.extend((k, depth + 1) for k in reversed(kids[n]))
     lines.append(f"nodes={tree.node_count} truncated={_bool_text(tree.truncated)}")
     return lines
 

@@ -2,89 +2,56 @@
 
 The numerical semigroups that honour a constraint set C form a rooted
 tree.  The root is the largest member: N itself when every adjustment is
->= -2, and {0, theta, theta+1, ...} otherwise.  Each node's children are
-obtained by removing one minimal generator x larger than the Frobenius
-number, provided the result still honours C; the removed generator
-becomes the child's Frobenius number, so Frobenius number and genus both
-grow strictly along every edge and bounded enumeration is exact.
+>= -2, and {0, theta, theta+1, ...} otherwise.  A node's children remove
+one minimal generator x above its Frobenius number, when the result
+still honours C; x becomes the child's Frobenius number, so Frobenius
+number and genus grow along every edge and bounded enumeration is exact.
 
-Child viability is decided without rebuilding the child: removing x is
-safe iff for every adjustment c the value x - c is either outside the
-parent, a minimal generator of the child, x itself, or 0.  Only c = 0
-gives x itself, so that adjustment is inert and the scan drops it.
+Removing x is viable iff for every adjustment c the value x - c is
+outside the parent, a minimal generator of the child, x itself (only
+c = 0, which is inert and dropped) or 0.  The child's generators come
+from a closed form: {0, m, ->} minus m has {m+1, ..., 2m+1}; otherwise
+the only candidate new generator is x + m, needed exactly when no other
+non-multiplicity generator n_j has x + m - n_j inside the parent.  Both
+run on masks alone (the parent's gaps, and its generator mask with bit x
+cleared plus bit x + m when new); a generator tuple is built only for a
+child kept.
 
-The minimal generators after removing x come from a closed form: for
-{0, m, ->} minus m the result is {m+1, ..., 2m+1}; otherwise the only
-candidate new generator is x + m, needed exactly when no other
-non-multiplicity generator n_j has x + m - n_j inside the parent.  The
-closed form is evaluated on masks alone (the parent's generator mask
-with bit x cleared, plus bit x + m when that is new), and the viability
-scan reads that mask and the parent's gaps, so it builds no generator
-tuple; the tuple is sliced out of the parent's generators at x's index
-only for children kept.
+A tree stores its nodes as int columns derived from the parent's, not as
+records (IncentiveTree), and generator tuples live only for the level
+being expanded and the one being built.  TreeNode views build a
+NumericalSemigroup (through _derived, which keeps the three bit
+invariants) only when asked, so a tree holds no GC-tracked object per node.
 
-Each tree level is expanded by one _expand call, which enumerate_tree
-makes once per level and children makes on a single node; child_viable
-and msg_after_removal read their answer off children, with every other
-generator kept as a seed so that x is the one candidate.  Per parent it
-reads m, the gap mask and the generators after m once; the candidates,
-the generators above the Frobenius number, start at an index found by
-bisection.  Per candidate x it costs one compare against the level's
-limit, one closed-form mask and one viability scan (none when C holds
-no adjustment but 0), and a kept child one tuple, one record and one
-tree node.
-
-Nodes are NumericalSemigroup records on gap bitsets, and a child record
-is derived from its parent, never rebuilt: its gap set is the parent's
-with bit x set, its Frobenius number is x, and its generators and their
-mask come from the closed form.  Validation happens once, at the
-public edge: enumerate_tree checks the constraint set and seeds on
-entry, and child_viable, msg_after_removal and children check their own
-arguments.  Below that _expand works on trusted data, and child records
-go through NumericalSemigroup._derived, which skips the integer, sign
-and ordering checks (true by construction) but keeps the three bit
-invariants.  Semigroups, their generator sets and tree nodes are
-slotted records.
-
-Traversal is breadth-first in one thread, and the enumeration bound is
-settled once per level, before any child is built: every node of level
-d has genus root_genus + d and depth d, so
-EnumerationBound.frobenius_limit turns the bound into the largest
-Frobenius number it admits for the children of level d, and a child's
-Frobenius number is its x.  Along the ascending scan of x the verdict
-can only turn from admitted to rejected, so the scan stops at the first
-viable x past the limit (that child only marks the tree truncated), and
-once the tree is known to be truncated it stops at the first x past the
-limit without testing viability.  A
-frontier node whose children all lie past the limit is therefore not
-expanded at all once truncation is known, and a level whose limit
-admits no child is left at its first such node.  The root's Frobenius
-number and genus (theta - 1 for {0, theta, ->}, -1 and 0 for N) are
-known before the root is built, so a bound that excludes the root
-returns an empty tree without allocating it.  Without a bound value
-only a finite family (is_finite_family) is enumerated; an infinite one
-raises BoundTooLarge before the root is built.
-
-brute_force_family is the independent oracle: it enumerates candidate
-gap sets directly and keeps the complements that are addition-closed
-and honour C.  Tests pin the tree enumeration, its viability verdicts
-and its derived records against it, against is_incentive and against
-numerical_semigroup.
+_expand is the one expansion step: enumerate_tree calls it once per
+level and children on a one-node tree; child_viable and
+msg_after_removal call children with every other generator as a seed,
+so x is the one candidate; arguments are validated at these public
+edges only.  Nodes of level d have genus root_genus + d and depth d, so
+frobenius_limit settles the bound once per level.  The verdict only turns from
+admitted to rejected as x grows, so a parent's scan stops at its first
+viable x past the limit (which marks the tree truncated) and, once the
+tree is truncated, at its first x past the limit, skipping a parent
+with no candidate below it and a level whose limit admits none.  A bound
+that excludes the root gives an empty tree without building it; without
+a bound value only a finite family (is_finite_family) is enumerated.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import repeat
 from typing import Collection, Iterable
 
 from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive, strip_zero
 from .errors import BoundTooLarge, DomainError, InvalidRemoval, RootMissesX
-from .monoid import GenSet, NumericalSemigroup, _int_set
+from .monoid import GenSet, NumericalSemigroup, _ascending, _int_set
 
 MAX_FROBENIUS = "max_frobenius"
 MAX_GENUS = "max_genus"
@@ -92,10 +59,9 @@ MAX_DEPTH = "max_depth"
 _BOUND_KINDS = (MAX_FROBENIUS, MAX_GENUS, MAX_DEPTH)
 
 BRUTE_FORCE_CEILING = 18
-# largest threshold whose root {0, theta, ->} is built.  At 2**16 the
-# root takes about 3 ms (30 ms through the public constructors), and
-# testing its theta removals on 2*theta-bit masks about 0.5 s, growing
-# quadratically beyond (0.06 s at 2**14; Python 3.11, one core)
+# largest threshold whose root {0, theta, ->} is built.  At 2**16 the root
+# takes about 3 ms, and testing its theta removals on 2*theta-bit masks
+# about 0.5 s, growing quadratically (0.06 s at 2**14; Python 3.11, one core)
 ROOT_THETA_CEILING = 2**16
 
 
@@ -105,9 +71,8 @@ class EnumerationBound:
 
     kind is one of max_frobenius, max_genus, max_depth; value None means
     unbounded, which enumerate_tree accepts only for a finite family.
-    Frobenius number and genus grow strictly along edges, so pruning
-    below a violating child is exact; depth pruning simply stops
-    expanding at the cutoff.
+    Frobenius number, genus and depth grow strictly along edges, so
+    pruning below a violating child is exact.
     """
 
     kind: str
@@ -122,21 +87,16 @@ class EnumerationBound:
 
     def allows(self, frobenius: int, genus: int, depth: int) -> bool:
         """Does the bound admit a node with this Frobenius number, genus and depth?"""
-        if self.value is None:
-            return True
-        if self.kind == MAX_FROBENIUS:
-            return frobenius <= self.value
-        if self.kind == MAX_GENUS:
-            return genus <= self.value
-        return depth <= self.value
+        kind = self.kind
+        measure = frobenius if kind == MAX_FROBENIUS else genus if kind == MAX_GENUS else depth
+        return self.value is None or measure <= self.value
 
     def frobenius_limit(self, genus: int, depth: int) -> int | None:
         """The largest Frobenius number allows admits at this genus and depth.
 
-        None when it admits every Frobenius number, -2 (below every
-        Frobenius number) when it admits none.  The children of one tree
-        level share their genus and depth, so enumerate_tree settles this
-        once per level and each candidate x costs one compare.
+        None when it admits every one, -2 (below every Frobenius number)
+        when it admits none.  The children of one tree level share their
+        genus and depth, so enumerate_tree settles this once per level.
         """
         v = self.value
         if v is None:
@@ -149,54 +109,122 @@ class EnumerationBound:
         return f"{self.kind}={'none' if self.value is None else self.value}"
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TreeNode:
-    semigroup: NumericalSemigroup
-    parent: "TreeNode | None"
-    removed_generator: int | None
-    depth: int
+    """A view of node node_id of an IncentiveTree, built by the tree on access.
+
+    Views of one node are equal, not identical; each semigroup is a new record.
+    """
+
+    tree: IncentiveTree = field(repr=False)
     node_id: int
 
+    @property
+    def semigroup(self) -> NumericalSemigroup:
+        gaps, gens = self.tree.gap_bits[self.node_id], self.tree.gen_bits[self.node_id]
+        return NumericalSemigroup._derived(
+            tuple(_ascending(gens)), gaps.bit_length() - 1, gaps, gens
+        )
 
-@dataclass
+    @property
+    def parent(self) -> TreeNode | None:
+        p = self.tree.parent_ids[self.node_id]
+        return None if p < 0 else TreeNode(self.tree, p)
+
+    @property
+    def removed_generator(self) -> int | None:
+        return self.tree.removed[self.node_id] or None  # 0 marks the root
+
+    @property
+    def depth(self) -> int:
+        return bisect_right(self.tree.level_offsets, self.node_id) - 1
+
+
+@dataclass(slots=True)
+class _Nodes(Sequence):
+    """A tree's nodes as a read-only sequence; item i is a new view of node i."""
+
+    tree: IncentiveTree
+
+    def __len__(self) -> int:
+        return len(self.tree.gap_bits)
+
+    def __getitem__(self, i):
+        ids = range(len(self))[i]  # negative indices, slices and IndexError
+        if isinstance(i, slice):
+            return [TreeNode(self.tree, k) for k in ids]
+        return TreeNode(self.tree, ids)
+
+    def __iter__(self):
+        return map(TreeNode, repeat(self.tree), range(len(self)))
+
+
+@dataclass(eq=False)
 class IncentiveTree:
-    """Breadth-first enumeration result with deterministic node ids."""
+    """Breadth-first enumeration result with deterministic node ids.
+
+    Node i is gap_bits[i] and gen_bits[i] (its semigroup's gap and
+    generator masks), parent_ids[i] (-1 at the root) and removed[i] (the
+    generator removed from its parent, 0 at the root); depth d holds ids
+    level_offsets[d] to level_offsets[d + 1] - 1.  The columns are
+    read-only, and parent ids never decrease.
+    """
 
     c_set: tuple[int, ...]
     x_set: tuple[int, ...] | None
     bound: EnumerationBound
-    nodes: list[TreeNode] = field(default_factory=list)
     truncated: bool = False
+    gap_bits: list[int] = field(default_factory=list, repr=False)
+    gen_bits: list[int] = field(default_factory=list, repr=False)
+    parent_ids: array = field(default_factory=lambda: array("q"), repr=False)
+    removed: array = field(default_factory=lambda: array("q"), repr=False)
+    level_offsets: list[int] = field(default_factory=lambda: [0], repr=False)
+
+    def _plant(self, root: NumericalSemigroup) -> None:
+        """Make root node 0 of this empty tree."""
+        self.gap_bits, self.gen_bits = [root.gap_bits], [root.gen_bits]
+        self.parent_ids, self.removed = array("q", [-1]), array("q", [0])
+        self.level_offsets = [0, 1]
+
+    @property
+    def nodes(self) -> Sequence[TreeNode]:
+        return _Nodes(self)
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.gap_bits)
 
     @property
     def max_depth(self) -> int:
-        return max((n.depth for n in self.nodes), default=-1)
+        return len(self.level_offsets) - 2
+
+    @property
+    def level_sizes(self) -> list[int]:
+        """The number of nodes at each depth, root first."""
+        return [b - a for a, b in zip(self.level_offsets, self.level_offsets[1:])]
 
     @property
     def root(self) -> TreeNode | None:
-        return self.nodes[0] if self.nodes else None
+        return TreeNode(self, 0) if self.gap_bits else None
+
+    def child_ids(self, node_id: int) -> range:
+        """The ids of a node's children: where the parent column names it."""
+        p = self.parent_ids
+        return range(bisect_left(p, node_id), bisect_right(p, node_id))
 
     def children_by_parent(self) -> dict[TreeNode, list[TreeNode]]:
-        """Every node's children in id order, keyed by node; linear in the node count.
-
-        The one child index of a tree: a whole-tree walk reads it once,
-        and a single lookup is children_by_parent()[node].
-        """
-        kids: dict[TreeNode, list[TreeNode]] = {n: [] for n in self.nodes}
-        for n in self.nodes:
-            if n.parent in kids:
-                kids[n.parent].append(n)
-        return kids
+        """Every node's children in id order, keyed by node; the whole-tree child index."""
+        nodes = list(self.nodes)
+        ranges = map(self.child_ids, range(len(nodes)))
+        return {n: nodes[r.start : r.stop] for n, r in zip(nodes, ranges)}
 
     @property
     def leaves(self) -> list[TreeNode]:
-        return [n for n, kids in self.children_by_parent().items() if not kids]
+        parents = set(self.parent_ids)
+        return [TreeNode(self, i) for i in range(self.node_count) if i not in parents]
 
     def to_json_dict(self) -> dict:
+        rows = enumerate(zip(self.gap_bits, self.gen_bits, self.parent_ids, self.removed))
         return {
             "metadata": {
                 "c_set": list(self.c_set),
@@ -206,41 +234,40 @@ class IncentiveTree:
                 "truncated": self.truncated,
             },
             "nodes": [
-                {
-                    "id": n.node_id,
-                    "msg": list(n.semigroup.msg.elements),
-                    "frobenius": n.semigroup.frobenius,
-                    "genus": n.semigroup.genus,
-                    "parent_id": n.parent.node_id if n.parent else None,
-                    "removed_generator": n.removed_generator,
-                }
-                for n in self.nodes
+                {"id": i, "msg": _ascending(gens), "frobenius": gaps.bit_length() - 1,
+                 "genus": gaps.bit_count(), "parent_id": None if p < 0 else p,
+                 "removed_generator": x or None}
+                for i, (gaps, gens, p, x) in rows
             ],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        doc = self.to_json_dict()
+        rows = doc.pop("nodes")
+        dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        # 64 rows per encoder call: one call would hold a chunk per value of the tree
+        batches = (dumps(rows[k : k + 64])[1:-1] for k in range(0, len(rows), 64))
+        return dumps(doc)[:-1] + ',"nodes":[' + ",".join(batches) + "]}"
 
     def to_dot(self) -> str:
         lines = ["digraph incentive_tree {"]
-        for n in self.nodes:
-            lines.append(f'  n{n.node_id} [label="{n.semigroup}"];')
-        for n in self.nodes:
-            if n.parent is not None:
-                lines.append(
-                    f'  n{n.parent.node_id} -> n{n.node_id} [label="{n.removed_generator}"];'
-                )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines += [f'  n{i} [label="{_msg_text(b)}"];' for i, b in enumerate(self.gen_bits)]
+        edges = enumerate(zip(self.parent_ids, self.removed))
+        lines += [f'  n{p} -> n{i} [label="{x}"];' for i, (p, x) in edges if p >= 0]
+        return "\n".join(lines) + "\n}\n"
+
+
+def _msg_text(gen_bits: int) -> str:
+    """str() of the generating set whose mask is gen_bits, without building it."""
+    return "⟨" + ",".join([str(g) for g in _ascending(gen_bits)]) + "⟩"
 
 
 def max_numerical_incentive(c: IncentiveSpec | Iterable[int]) -> NumericalSemigroup:
     """The largest numerical semigroup honouring the constraint set.
 
     N itself when every adjustment is >= -2; otherwise {0, theta, ->},
-    whose minimal generators are theta, ..., 2*theta - 1.  Raises
-    BoundTooLarge, before allocating, when theta exceeds
-    ROOT_THETA_CEILING.
+    generated by theta, ..., 2*theta - 1.  Raises BoundTooLarge, before
+    allocating, when theta exceeds ROOT_THETA_CEILING.
     """
     th = _as_spec(c).theta
     if th <= 2:
@@ -256,9 +283,7 @@ def max_numerical_incentive(c: IncentiveSpec | Iterable[int]) -> NumericalSemigr
 
 
 def _check_removal(sg: NumericalSemigroup, x: int) -> None:
-    if not (
-        isinstance(x, int) and not isinstance(x, bool) and x > 0 and sg.gen_bits >> x & 1
-    ):
+    if not (isinstance(x, int) and not isinstance(x, bool) and x > 0 and sg.gen_bits >> x & 1):
         raise InvalidRemoval(f"{x} is not a minimal generator of {sg}")
     if x <= sg.frobenius:
         raise InvalidRemoval(
@@ -270,8 +295,7 @@ def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
     """Minimal generators of the semigroup minus one generator x > frobenius.
 
     This is children with no adjustments, under which every removal is
-    viable, and every other generator kept; the closed form is in the
-    module docstring.
+    viable, and every other generator kept.
     """
     _check_removal(sg, x)
     return children(sg, IncentiveSpec(()), [g for g in sg.msg.elements if g != x])[0][1].msg
@@ -280,9 +304,8 @@ def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
 def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int]) -> bool:
     """Does the semigroup minus x still honour the constraint set?
 
-    For every adjustment cc, the value x - cc must be outside the parent,
-    a minimal generator of the child, or 0.  This is children with every
-    other generator kept, so x is the one candidate.
+    This is children with every other generator kept, so x is the one
+    candidate.
     """
     spec = strip_zero(c)
     _check_removal(sg, x)
@@ -299,56 +322,41 @@ def _honours(x: int, cs: tuple[int, ...], ok: int) -> bool:
 
 
 def _expand(
-    parents: Iterable[TreeNode],
-    cs: tuple[int, ...],
-    required: Collection[int],
-    limit: int | None,
-    nodes: list[TreeNode],
-    truncated: bool,
-) -> bool:
-    """Expand one tree level, each parent in one pass; append kept children to nodes.
+    tree: IncentiveTree, level: list[tuple[int, ...]], cs: tuple[int, ...],
+    required: Collection[int], limit: int | None, truncated: bool,
+) -> tuple[bool, list[tuple[int, ...]]]:
+    """Expand the tree's last level; append kept children to the columns.
 
-    A parent's candidates are its generators above the Frobenius number
-    in ascending order, minus those in required.  cs is the constraint
-    set without its inert 0.  limit is the largest child Frobenius
-    number, x, the bound admits at this level (frobenius_limit; None: no
-    bound), settled once by the caller for every parent.  A kept child
-    is appended as a TreeNode with the next id.  Returns whether the
-    tree is truncated: truncated, or a viable x lay past the limit.  A
-    parent's scan stops at its first viable x past the limit, and, once
-    the tree is truncated, at the first x past it; a parent whose every
-    candidate lies past it is not scanned, and when the limit admits no
-    child at all (-2) the rest of the level is left at once.
-
-    Every candidate's generator mask comes from the closed form (module
-    docstring) on masks alone, and the viability scan tests x against
-    it and the parent's gaps.  A kept child's generator tuple is the
-    parent's without index i, plus x + m when that is new.
+    level holds the generator tuples of the tree's last len(level)
+    nodes, the parents; a parent's candidates are its generators above
+    its Frobenius number, ascending, minus those in required.  cs is C
+    without its inert 0, and limit the level's frobenius_limit (None: no
+    bound).  Returns whether the tree is truncated and the kept
+    children's generator tuples, the next level.  The scan, its stops
+    and the closed form are in the module docstring.
     """
-    derived = NumericalSemigroup._derived
-    for node in parents:
-        sg = node.semigroup
-        elems = sg.msg.elements
+    gap_col, gen_col = tree.gap_bits, tree.gen_bits
+    parent_col, removed_col = tree.parent_ids, tree.removed
+    kept: list[tuple[int, ...]] = []
+    for p, elems in enumerate(level, len(gap_col) - len(level)):
+        gaps = gap_col[p]
+        frobenius = gaps.bit_length() - 1
         if limit is None:
             fit = elems[-1]  # no candidate lies past the largest generator
-        elif truncated and limit <= sg.frobenius:
+        elif truncated and limit <= frobenius:
             if limit < 0:
-                return True  # no parent of this level can have a child
+                break  # no parent of this level can have a child
             continue  # every candidate x > frobenius lies past the bound
         else:
             fit = limit
-        depth = node.depth + 1
         m = elems[0]
-        gaps = sg.gap_bits
-        gen_bits = sg.gen_bits
+        gen_bits = gen_col[p]
         rest = elems[1:]
-        for i in range(bisect_right(elems, sg.frobenius), len(elems)):
+        for i in range(bisect_right(elems, frobenius), len(elems)):
             x = elems[i]
             if x in required:
                 continue
-            # the child's Frobenius number is x, so fits can only turn
-            # from True to False as x grows
-            fits = x <= fit
+            fits = x <= fit  # x is the child's Frobenius number
             if not fits and truncated:
                 break
             top = x + m
@@ -363,8 +371,7 @@ def _expand(
                 else:
                     bits |= 1 << top
             else:
-                # x = m > frobenius: sg is {0, m, ->}, and sg minus m has
-                # generators m+1, ..., 2m+1
+                # x = m: the parent is {0, m, ->}; minus m it has m+1, ..., 2m+1
                 bits = ((1 << (m + 1)) - 1) << (m + 1)
             if cs and not _honours(x, cs, gaps | bits):
                 continue
@@ -377,27 +384,28 @@ def _expand(
                     gens += (top,)
             else:
                 gens = tuple(range(m + 1, 2 * m + 2))
-            child = derived(gens, x, gaps | 1 << x, bits)
-            nodes.append(TreeNode(child, node, x, depth, len(nodes)))
-    return truncated
+            kept.append(gens)
+            gap_col.append(gaps | 1 << x)
+            gen_col.append(bits)
+            parent_col.append(p)
+            removed_col.append(x)
+    return truncated, kept
 
 
 def children(
-    sg: NumericalSemigroup,
-    c: IncentiveSpec | Iterable[int],
-    x_set: Iterable[int] | None = None,
+    sg: NumericalSemigroup, c: IncentiveSpec | Iterable[int], x_set: Iterable[int] | None = None
 ) -> list[tuple[int, NumericalSemigroup]]:
     """Viable (removed generator, child) pairs in ascending generator order.
 
-    x_set, when given, lists elements that must stay inside every node;
-    generators in it are never removed.  Its values must be plain
-    integers, as seeds anywhere else.
+    x_set, when given, lists elements that must stay inside every node, so
+    generators in it are never removed; its values must be plain integers.
     """
     cs = strip_zero(c).c_set
     required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
-    kids: list[TreeNode] = []
-    _expand([TreeNode(sg, None, None, 0, 0)], cs, required, None, kids, False)
-    return [(n.removed_generator, n.semigroup) for n in kids]
+    tree = IncentiveTree(cs, None, EnumerationBound(MAX_DEPTH, 1))
+    tree._plant(sg)
+    _expand(tree, [sg.msg.elements], cs, required, None, False)
+    return [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]
 
 
 def enumerate_tree(
@@ -407,12 +415,9 @@ def enumerate_tree(
 
     With x_set given, only semigroups containing it are enumerated (its
     elements are never removed), after checking admissibility and that
-    the root actually contains it.  Children are visited in ascending
-    removed-generator order, so node ids are deterministic.  The
-    constraint set and seeds are validated once, here; each level of the
-    tree is expanded by one _expand call (see the module docstring).
-    Without a bound value the family must be finite (is_finite_family);
-    an infinite one raises BoundTooLarge, since its enumeration never ends.
+    the root contains it.  Children are visited in ascending
+    removed-generator order, so node ids are deterministic.  Without a
+    bound value the family must be finite (is_finite_family).
     """
     spec = _as_spec(c)
     xs = None if x_set is None else _admitted(x_set, spec)
@@ -437,19 +442,18 @@ def enumerate_tree(
     if not bound.allows(root_frobenius, root_genus, 0):
         tree.truncated = True
         return tree
-    nodes = tree.nodes
-    nodes.append(TreeNode(max_numerical_incentive(spec), None, None, 0, 0))
+    root = max_numerical_incentive(spec)
+    tree._plant(root)
     cs = tuple(v for v in spec.c_set if v)
     required = frozenset(xs or ())
-    # breadth-first by levels: each pass expands the nodes the last one
-    # added, and every node of level d has genus root_genus + d and depth d
-    done = depth = 0
-    while done < len(nodes):
-        level = islice(nodes, done, len(nodes))
-        done = len(nodes)
-        depth += 1  # the depth of the children this pass builds
+    # breadth-first: each pass expands the level the last one built
+    level = [root.msg.elements]
+    while level:
+        depth = tree.max_depth + 1  # the depth of the children this pass builds
         limit = bound.frobenius_limit(root_genus + depth, depth)
-        tree.truncated = _expand(level, cs, required, limit, nodes, tree.truncated)
+        tree.truncated, level = _expand(tree, level, cs, required, limit, tree.truncated)
+        if level:
+            tree.level_offsets.append(tree.node_count)
     return tree
 
 
@@ -458,10 +462,8 @@ def is_finite_family(c: IncentiveSpec | Iterable[int], x_set: Iterable[int]) -> 
 
     True iff gcd(c_set ∪ x_set) = 1: then the smallest closure is itself
     numerical and only finitely many semigroups sit between it and N.
-    x_set must be non-empty (without it the family always contains every
-    {0, k, ->} with k at or above the threshold, hence is infinite), and
-    the criterion presumes the family is populated at all, i.e. the seeds
-    sit inside the root.
+    x_set must be non-empty (without it every {0, k, ->} with k at or
+    above the threshold is a member), and the seeds must sit in the root.
     """
     spec = _as_spec(c)
     xs = _admitted(x_set, spec)
@@ -476,8 +478,7 @@ class Decomposition:
 
     The monoids honouring c with gcd d are exactly d times the numerical
     semigroups honouring c/d, so trees[d] enumerates the divisor-d slice
-    (scaled down by d).  includes_trivial records that the trivial monoid
-    {0} also qualifies (always, unless a non-empty seed set excludes it).
+    (scaled down by d).  includes_trivial: {0} qualifies too (no seeds given).
     """
 
     trees: dict[int, IncentiveTree]
@@ -520,8 +521,7 @@ def _all_numerical_semigroups(max_frobenius: int) -> tuple[NumericalSemigroup, .
 
     Enumerates all subsets of {1, ..., max_frobenius} as candidate gap
     sets and keeps the complements closed under addition.  Minimal
-    generators are read off the membership table (scanning up to
-    2 * max_frobenius + 1, enough for any such semigroup).
+    generators are read off the membership table up to 2 * max_frobenius + 1.
     """
     mf = max_frobenius
     found = []

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import signal
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -479,6 +481,16 @@ def test_json_round_trip():
         assert row["removed_generator"] == n.removed_generator
 
 
+def test_to_json_is_the_json_of_to_json_dict():
+    # to_json encodes its rows in batches; counts here cross the batch size
+    trees = [enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, g)) for g in range(9)]
+    trees.append(enumerate_tree({-9}, None, EnumerationBound(MAX_FROBENIUS, 5)))
+    assert [t.node_count for t in trees] == [1, 2, 4, 8, 15, 27, 50, 89, 156, 0]
+    for tree in trees:
+        want = json.dumps(tree.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert tree.to_json() == want
+
+
 def test_dot_output():
     tree = enumerate_tree({-4, 6}, None, EnumerationBound(MAX_GENUS, 4))
     dot = tree.to_dot()
@@ -602,21 +614,83 @@ def test_children_by_parent_matches_parent_links():
         if n.parent is not None:
             want[n.parent.node_id].append(n.node_id)
     kids = tree.children_by_parent()
-    assert list(kids) == tree.nodes
+    assert list(kids) == list(tree.nodes)
     assert {n.node_id: [k.node_id for k in ks] for n, ks in kids.items()} == want
-    assert all(k.parent is n for n, ks in kids.items() for k in ks)
-    # the index follows nodes appended after enumeration
-    root = tree.root
-    extra = tree_mod.TreeNode(root.semigroup, root, None, 1, tree.node_count)
-    tree.nodes.append(extra)
-    assert tree.children_by_parent()[root][-1] is extra
-    assert extra in tree.leaves
+    assert all(k.parent == n for n, ks in kids.items() for k in ks)
+    # each node's children are the contiguous id range whose parent
+    # column entries name that node
+    by_parent = {}
+    for i, p in enumerate(tree.parent_ids):
+        by_parent.setdefault(p, []).append(i)
+    for n, ks in kids.items():
+        ids = [k.node_id for k in ks]
+        assert ids == by_parent.get(n.node_id, [])
+        assert not ids or ids == list(range(ids[0], ids[-1] + 1))
+        assert list(tree.child_ids(n.node_id)) == ids
+    assert [n.node_id for n in tree.leaves] == [n.node_id for n, ks in kids.items() if not ks]
 
 
 def test_records_are_slotted():
     node = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 3)).nodes[-1]
     for record in (node, node.semigroup, node.semigroup.msg):
         assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_nodes_are_a_read_only_sequence_of_views():
+    tree = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 6))
+    nodes = tree.nodes
+    assert len(nodes) == tree.node_count
+    # each access builds a new view; views of one node are equal, not identical
+    assert nodes[3] == nodes[3] and nodes[3] is not nodes[3]
+    assert nodes[3] != nodes[4] and hash(nodes[3]) == hash(nodes[3])
+    assert nodes[-1].node_id == tree.node_count - 1
+    assert [n.node_id for n in nodes[2:5]] == [2, 3, 4]
+    assert tree.root == nodes[0] and tree.root.parent is None
+    with pytest.raises(IndexError):
+        nodes[tree.node_count]
+    with pytest.raises(TypeError):
+        nodes[0] = nodes[1]
+    assert not hasattr(nodes, "append")
+    # a view of another tree's node with the same id is a different node
+    other = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 6))
+    assert other.nodes[3] != nodes[3]
+    assert other.nodes[3].semigroup == nodes[3].semigroup
+
+
+def test_tree_store_is_flat():
+    # node data sits in int columns, so enumeration leaves no GC-tracked
+    # object per node behind (three per node as records)
+    bound = EnumerationBound(MAX_GENUS, 16)
+    gc.collect()
+    before = len(gc.get_objects())
+    tree = enumerate_tree((0,), None, bound)
+    assert tree.node_count == 11770
+    assert len(gc.get_objects()) - before < 100
+    del tree
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree = enumerate_tree((0,), None, bound)
+        # a full collection empties the interpreter's tuple free lists,
+        # which still hold the dropped generator tuples of the last level
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / tree.node_count <= 160
+
+
+def test_level_sizes_count_the_nodes_at_each_depth():
+    # C = {0}: the root is N, so depth is genus and the sizes are A007323
+    tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 18))
+    assert tuple(tree.level_sizes) == A007323
+    assert tree.max_depth == 18
+    tree = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 12))
+    depths = [n.depth for n in tree.nodes]
+    assert tree.level_sizes == [depths.count(d) for d in range(max(depths) + 1)]
+    assert tree.max_depth == max(depths) and sum(tree.level_sizes) == tree.node_count
+    empty = enumerate_tree({-9}, None, EnumerationBound(MAX_FROBENIUS, 5))
+    assert (empty.level_sizes, empty.max_depth) == ([], -1)
 
 
 def _reference_tree(cs, xs, bound):
