@@ -19,7 +19,6 @@ from .closure import (
     half_theta_is_incentive,
     is_admissible,
     is_incentive,
-    strip_zero,
     theta,
 )
 from .errors import (
@@ -121,7 +120,6 @@ __all__ = [
     "msg",
     "msg_after_removal",
     "numerical_semigroup",
-    "strip_zero",
     "theta",
     "verify_theorem5",
 ]

@@ -34,8 +34,6 @@ from .tree import (
     MAX_FROBENIUS,
     MAX_GENUS,
     EnumerationBound,
-    IncentiveTree,
-    _msg_text,
     brute_force_family,
     decompose,
     enumerate_tree,
@@ -202,25 +200,6 @@ def _closure_json(r: ClosureResult) -> dict:
     }
 
 
-def _tree_lines(tree: IncentiveTree) -> list[str]:
-    gaps, gens, removed = tree.gap_bits, tree.gen_bits, tree.removed
-    kids = tree.children_by_parent()
-    lines = []
-    stack = [] if tree.root is None else [(tree.root, 0)]
-    while stack:
-        n, depth = stack.pop()
-        i = n.node_id
-        g = gaps[i]
-        head = f"remove {removed[i]} -> " if i else ""
-        lines.append(
-            f"{'  ' * depth}{head}{_msg_text(gens[i])} "
-            f"frobenius={g.bit_length() - 1} genus={g.bit_count()}"
-        )
-        stack.extend((k, depth + 1) for k in reversed(kids[n]))
-    lines.append(f"nodes={tree.node_count} truncated={_bool_text(tree.truncated)}")
-    return lines
-
-
 def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
@@ -266,7 +245,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         elif ns.format == "dot":
             print(tree.to_dot(), end="")
         else:
-            print("\n".join(_tree_lines(tree)))
+            print(tree.to_text())
         return 0
 
     if cmd == "decompose":
@@ -282,7 +261,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
             lines = [f"includes trivial monoid: {_bool_text(dec.includes_trivial)}"]
             for d in sorted(dec.trees):
                 lines.append(f"divisor {d}:")
-                lines.extend(["  " + line for line in _tree_lines(dec.trees[d])])
+                lines.append("  " + dec.trees[d].to_text().replace("\n", "\n  "))
             print("\n".join(lines))
         return 0
 

@@ -25,10 +25,11 @@ closure is numerical (it holds every seed x and every 2x + c); either way
 the closure is scale times that numerical closure.  Below the reduction
 the two engines share nothing.
 
-Zero adjustments are inert (dropped up front): a monoid honours C exactly
-when it honours C minus {0}.  The constraint set {0} therefore becomes
-the empty marker spec, under which every submonoid qualifies and the
-closure of a seed set is just the monoid it generates.
+Zero adjustments are inert: a monoid honours C exactly when it honours C
+minus {0}.  IncentiveSpec.shifts is C minus {0}, the adjustments the pair
+test, both engines and the tree read; under {0}, whose shifts are empty,
+every submonoid qualifies and the closure of a seed set is just the
+monoid it generates.  Messages name c_set, the set as given.
 """
 
 from __future__ import annotations
@@ -64,31 +65,32 @@ ITERATION_CAP = 10_000
 
 @dataclass(frozen=True)
 class IncentiveSpec:
-    """A constraint set: sorted, deduplicated adjustments with the threshold cached.
+    """A constraint set: sorted, deduplicated, non-empty adjustments.
 
-    c_set may be empty only as the explicit "no constraint" marker
-    produced by strip_zero; the of() factory used for user input rejects
-    empty sets.
+    theta (the offset threshold) and shifts (c_set without the inert 0)
+    are derived once, at construction.
     """
 
     c_set: tuple[int, ...]
     theta: int = field(init=False)
+    shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.c_set, tuple):
             object.__setattr__(self, "c_set", tuple(self.c_set))
         cs = self.c_set
+        if not cs:
+            raise InvalidGenerators("a constraint set needs at least one adjustment")
         _check_ints(cs, "adjustments")
         if not all(map(operator.lt, cs, cs[1:])):
             raise InvalidGenerators("adjustments must be strictly increasing; use IncentiveSpec.of")
         object.__setattr__(self, "theta", -min(cs + (0,)))
+        # the conditional keeps a zero-free set's tuple, the common case, uncopied
+        object.__setattr__(self, "shifts", cs if 0 not in cs else tuple(v for v in cs if v))
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "IncentiveSpec":
-        vals = _int_set(values, "adjustments")
-        if not vals:
-            raise InvalidGenerators("a constraint set needs at least one adjustment")
-        return cls(vals)
+        return cls(_int_set(values, "adjustments"))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(v) for v in self.c_set) + "}"
@@ -103,14 +105,6 @@ def theta(c: IncentiveSpec | Iterable[int]) -> int:
     return _as_spec(c).theta
 
 
-def strip_zero(c: IncentiveSpec | Iterable[int]) -> IncentiveSpec:
-    """Drop the inert zero adjustment; {0} becomes the no-constraint marker."""
-    spec = _as_spec(c)
-    if 0 not in spec.c_set:
-        return spec
-    return IncentiveSpec(tuple(v for v in spec.c_set if v != 0))
-
-
 def is_incentive(gens: GenSet | Iterable[int], c: IncentiveSpec | Iterable[int]) -> bool:
     """Does the monoid generated by gens honour every adjustment?
 
@@ -119,15 +113,15 @@ def is_incentive(gens: GenSet | Iterable[int], c: IncentiveSpec | Iterable[int])
     Any generating set works; a minimal one just makes fewer pairs.
     """
     g = _as_genset(gens)
-    spec = _as_spec(c)
-    if not spec.c_set:
+    shifts = _as_spec(c).shifts
+    if not shifts:
         return True
     elems = g.elements
-    limit = 2 * elems[-1] + max(spec.c_set[-1], 0)
+    limit = 2 * elems[-1] + max(shifts[-1], 0)
     table = _byte_table(_generated(elems, limit), limit + 1)
     for i, a in enumerate(elems):
         for b in elems[i:]:
-            for cc in spec.c_set:
+            for cc in shifts:
                 v = a + b + cc
                 if v < 0 or not table[v]:
                     return False
@@ -237,11 +231,11 @@ def closure_msg(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> Closu
     the problem into a numerical one at some scale, the generating-set
     fixpoint solves that, and the result is scaled back.
     """
-    spec = strip_zero(_as_spec(c))
+    spec = _as_spec(c)
     xs = _admitted(x_set, spec)
     if not xs:
         return ClosureResult(TRIVIAL, 1, None, None)
-    scale, xs, cs = _reduced(xs, spec.c_set)
+    scale, xs, cs = _reduced(xs, spec.shifts)
     ns = _fixpoint(xs, cs)
     if scale == 1:
         return ClosureResult(NUMERICAL, 1, ns.msg, ns)
@@ -311,8 +305,8 @@ def _slack_profile(adds: tuple[int, ...], shifts: tuple[int, ...], cap: int) -> 
     [-slack_cap, slack_cap]; any witness needs at most ceil(cap / min add)
     + 1 adds laid down before its shifts, so the windows lose nothing.
     Entries below -slack_cap mean unreachable.  shifts hold no 0
-    (closure_membership and m_ab_membership strip it); a zero shift would
-    only lower the slack at the same value.
+    (IncentiveSpec.shifts and m_ab_membership leave it out); a zero shift
+    would only lower the slack at the same value.
     """
     th = -min(shifts + (0,))
     minx = adds[0]
@@ -362,8 +356,8 @@ def closure_membership(x_set: Iterable[int], c: IncentiveSpec | Iterable[int], n
     seeds holding 1 generate all of N, so they need neither.
     """
     _check_ints((n,), "membership targets")
-    spec = strip_zero(_as_spec(c))
-    return _membership(_admitted(x_set, spec), spec.c_set, n)
+    spec = _as_spec(c)
+    return _membership(_admitted(x_set, spec), spec.shifts, n)
 
 
 def _membership(xs: tuple[int, ...], cs: tuple[int, ...], n: int) -> bool:

@@ -246,14 +246,12 @@ class NumericalSemigroup:
 
         The caller guarantees that elements are strictly increasing
         positive ints and that gen_bits is their mask, so GenSet's checks
-        and _bitmask are skipped.  The three bit invariants of
-        _check_bits still hold, screened by one inline expression; the
-        error is built by _check_bits only when the screen fails.  The
-        slots are filled through the member descriptors, which skip the
-        frozen __setattr__ and cost less than object.__setattr__.
+        and _bitmask are skipped; the three bit invariants of _check_bits
+        are still checked.  The slots are filled through the member
+        descriptors, which skip the frozen __setattr__ and cost less than
+        object.__setattr__.
         """
-        if frobenius != gap_bits.bit_length() - 1 or gap_bits & 1 or gen_bits & gap_bits:
-            _check_bits(frobenius, gap_bits, gen_bits)
+        _check_bits(frobenius, gap_bits, gen_bits)
         gens = object.__new__(GenSet)
         _SET_ELEMENTS(gens, elements)
         sg = object.__new__(cls)
@@ -305,8 +303,6 @@ def _check_bits(frobenius: int, gap_bits: int, gen_bits: int) -> None:
     """The invariants every semigroup record keeps: three bit tests.
 
     Raises InternalInvariant naming the first one broken.
-    NumericalSemigroup._derived screens the same three tests inline and
-    calls this only when one fails.
     """
     if frobenius != gap_bits.bit_length() - 1:
         raise InternalInvariant(

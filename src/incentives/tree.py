@@ -9,9 +9,10 @@ number and genus grow along every edge and bounded enumeration is exact.
 
 Removing x is viable iff for every adjustment c the value x - c is
 outside the parent, a minimal generator of the child, x itself (only
-c = 0, which is inert and dropped) or 0.  The child's generators come
-from a closed form: {0, m, ->} minus m has {m+1, ..., 2m+1}; otherwise
-the only candidate new generator is x + m, needed exactly when no other
+c = 0, which is inert and left out of IncentiveSpec.shifts, the
+adjustments scanned) or 0.  The child's generators come from a closed
+form: {0, m, ->} minus m has {m+1, ..., 2m+1}; otherwise the only
+candidate new generator is x + m, needed exactly when no other
 non-multiplicity generator n_j has x + m - n_j inside the parent.  Both
 run on masks alone (the parent's gaps, and its generator mask with bit x
 cleared plus bit x + m when new); a generator tuple is built only for a
@@ -28,13 +29,14 @@ level and children on a one-node tree; child_viable and
 msg_after_removal call children with every other generator as a seed,
 so x is the one candidate; arguments are validated at these public
 edges only.  Nodes of level d have genus root_genus + d and depth d, so
-frobenius_limit settles the bound once per level.  The verdict only turns from
-admitted to rejected as x grows, so a parent's scan stops at its first
-viable x past the limit (which marks the tree truncated) and, once the
-tree is truncated, at its first x past the limit, skipping a parent
-with no candidate below it and a level whose limit admits none.  A bound
-that excludes the root gives an empty tree without building it; without
-a bound value only a finite family (is_finite_family) is enumerated.
+frobenius_limit, the one form of the bound rule, settles the bound once
+per level.  The verdict only turns from admitted to rejected as x grows,
+so a parent's scan stops at its first viable x past the limit (which
+marks the tree truncated) and, once the tree is truncated, at its first
+x past the limit, skipping a parent with no candidate below it and a
+level whose limit admits none.  A bound that excludes the root gives an
+empty tree without building it; without a bound value only a finite
+family (is_finite_family) is enumerated.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Collection, Iterable
 
-from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive, strip_zero
+from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive
 from .errors import BoundTooLarge, DomainError, InvalidRemoval, RootMissesX
 from .monoid import GenSet, NumericalSemigroup, _ascending, _int_set
 
@@ -85,18 +87,14 @@ class EnumerationBound:
         if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
             raise DomainError("bound value must be a non-negative plain integer or None")
 
-    def allows(self, frobenius: int, genus: int, depth: int) -> bool:
-        """Does the bound admit a node with this Frobenius number, genus and depth?"""
-        kind = self.kind
-        measure = frobenius if kind == MAX_FROBENIUS else genus if kind == MAX_GENUS else depth
-        return self.value is None or measure <= self.value
-
     def frobenius_limit(self, genus: int, depth: int) -> int | None:
-        """The largest Frobenius number allows admits at this genus and depth.
+        """The largest Frobenius number the bound admits at this genus and depth.
 
-        None when it admits every one, -2 (below every Frobenius number)
-        when it admits none.  The children of one tree level share their
-        genus and depth, so enumerate_tree settles this once per level.
+        A node is admitted iff its measure (Frobenius number, genus or
+        depth, by kind) is at most value.  None when every node is
+        admitted, -2 (below every Frobenius number) when none is.  The
+        nodes of one tree level share their genus and depth, so
+        enumerate_tree settles this once per level.
         """
         v = self.value
         if v is None:
@@ -249,6 +247,25 @@ class IncentiveTree:
         batches = (dumps(rows[k : k + 64])[1:-1] for k in range(0, len(rows), 64))
         return dumps(doc)[:-1] + ',"nodes":[' + ",".join(batches) + "]}"
 
+    def to_text(self) -> str:
+        """One line per node, depth-first and indented by depth, then a summary line."""
+        gaps, gens, removed = self.gap_bits, self.gen_bits, self.removed
+        kids = self.children_by_parent()
+        lines = []
+        stack = [] if self.root is None else [(self.root, 0)]
+        while stack:
+            n, depth = stack.pop()
+            i = n.node_id
+            g = gaps[i]
+            head = f"remove {removed[i]} -> " if i else ""
+            lines.append(
+                f"{'  ' * depth}{head}{_msg_text(gens[i])} "
+                f"frobenius={g.bit_length() - 1} genus={g.bit_count()}"
+            )
+            stack.extend((k, depth + 1) for k in reversed(kids[n]))
+        lines.append(f"nodes={self.node_count} truncated={'true' if self.truncated else 'false'}")
+        return "\n".join(lines)
+
     def to_dot(self) -> str:
         lines = ["digraph incentive_tree {"]
         lines += [f'  n{i} [label="{_msg_text(b)}"];' for i, b in enumerate(self.gen_bits)]
@@ -294,11 +311,11 @@ def _check_removal(sg: NumericalSemigroup, x: int) -> None:
 def msg_after_removal(sg: NumericalSemigroup, x: int) -> GenSet:
     """Minimal generators of the semigroup minus one generator x > frobenius.
 
-    This is children with no adjustments, under which every removal is
-    viable, and every other generator kept.
+    This is children under the inert constraint set {0}, under which
+    every removal is viable, and every other generator kept.
     """
     _check_removal(sg, x)
-    return children(sg, IncentiveSpec(()), [g for g in sg.msg.elements if g != x])[0][1].msg
+    return children(sg, (0,), [g for g in sg.msg.elements if g != x])[0][1].msg
 
 
 def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int]) -> bool:
@@ -307,7 +324,7 @@ def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int
     This is children with every other generator kept, so x is the one
     candidate.
     """
-    spec = strip_zero(c)
+    spec = _as_spec(c)
     _check_removal(sg, x)
     return bool(children(sg, spec, [g for g in sg.msg.elements if g != x]))
 
@@ -400,7 +417,7 @@ def children(
     x_set, when given, lists elements that must stay inside every node, so
     generators in it are never removed; its values must be plain integers.
     """
-    cs = strip_zero(c).c_set
+    cs = _as_spec(c).shifts
     required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
     tree = IncentiveTree(cs, None, EnumerationBound(MAX_DEPTH, 1))
     tree._plant(sg)
@@ -439,19 +456,19 @@ def enumerate_tree(
             "give the bound a value"
         )
     tree = IncentiveTree(spec.c_set, xs, bound)
-    if not bound.allows(root_frobenius, root_genus, 0):
+    limit = bound.frobenius_limit(root_genus, 0)
+    if limit is not None and root_frobenius > limit:
         tree.truncated = True
         return tree
     root = max_numerical_incentive(spec)
     tree._plant(root)
-    cs = tuple(v for v in spec.c_set if v)
     required = frozenset(xs or ())
     # breadth-first: each pass expands the level the last one built
     level = [root.msg.elements]
     while level:
         depth = tree.max_depth + 1  # the depth of the children this pass builds
         limit = bound.frobenius_limit(root_genus + depth, depth)
-        tree.truncated, level = _expand(tree, level, cs, required, limit, tree.truncated)
+        tree.truncated, level = _expand(tree, level, spec.shifts, required, limit, tree.truncated)
         if level:
             tree.level_offsets.append(tree.node_count)
     return tree

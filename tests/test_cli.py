@@ -9,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from incentives import EnumerationBound, MAX_DEPTH, enumerate_tree
+from incentives import (
+    MAX_DEPTH,
+    MAX_GENUS,
+    EnumerationBound,
+    NotAdmissible,
+    closure_membership,
+    closure_msg,
+    decompose,
+    enumerate_tree,
+)
 from incentives.cli import build_parser, parse_seq, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,6 +89,28 @@ def test_closure_domain_error_exit_1():
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_not_admissible_names_the_constraint_set_as_given():
+    # the inert 0 is kept in the message by every entry point
+    message = "no monoid honouring {-3,0,2} contains {1}"
+    bound = EnumerationBound(MAX_GENUS, 3)
+    for call in (
+        lambda: closure_msg({1}, {-3, 0, 2}),
+        lambda: closure_membership({1}, {-3, 0, 2}, 5),
+        lambda: enumerate_tree({-3, 0, 2}, {1}, bound),
+        lambda: decompose({-3, 0, 2}, {1}, bound),
+    ):
+        with pytest.raises(NotAdmissible) as exc:
+            call()
+        assert str(exc.value) == message
+    for argv in (
+        ("closure", "--c=-3,0,2", "--x=1"),
+        ("membership", "--c=-3,0,2", "--x=1", "--n=5"),
+        ("tree", "--c=-3,0,2", "--x=1", "--max-genus=3"),
+        ("decompose", "--c=-3,0,2", "--x=1", "--max-genus=3"),
+    ):
+        assert cli(*argv) == (1, "", f"error: {message}\n"), argv
 
 
 def test_usage_errors_exit_2():
@@ -172,6 +203,23 @@ def test_tree_default_bound_is_genus_20():
     code, out, _ = cli("tree", "--c=-3,2", "--x=5")
     assert code == 0
     assert out.splitlines()[-1] == "nodes=6 truncated=false"
+
+
+# sha256 of decompose stdout for the command lines of the CLI benchmark
+# (bench/workloads.py, Cli._large) with d = 2 and 3, in each output format
+DECOMPOSE_OUTPUT_SHA256 = {
+    ("-4,6", 8, "text"): "909d83fc68ef62732e3e1c24123b0c966a2d88682ba1faf9445f02ae24477878",
+    ("-4,6", 8, "json"): "41425f900a563b05f4d87f71f88e0534e1f662ee083bb945aa959136d1089f0d",
+    ("-6,3", 8, "text"): "97fcbac1a47a000fbe31eef2e557587b2ecae27c3f9ed8e5dec3edc8032f1b5c",
+    ("-6,3", 8, "json"): "89e4e23f6711257035928558d1a0bad9b978f86a737e63ba83f4e4f923ec8668",
+}
+
+
+@pytest.mark.parametrize("cs, genus, fmt", list(DECOMPOSE_OUTPUT_SHA256))
+def test_decompose_output_bytes_are_pinned(cs, genus, fmt):
+    code, out, err = cli("decompose", f"--c={cs}", f"--max-genus={genus}", f"--format={fmt}")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_OUTPUT_SHA256[cs, genus, fmt]
 
 
 def test_decompose_text():

@@ -21,7 +21,6 @@ from incentives import (
     is_admissible,
     is_incentive,
     membership,
-    strip_zero,
     theta,
 )
 from oracles import oracle_closure_member, oracle_is_incentive
@@ -37,11 +36,17 @@ def test_spec_and_theta():
         IncentiveSpec.of([])
 
 
-def test_strip_zero():
-    assert strip_zero({-3, 0, 2}).c_set == (-3, 2)
-    marker = strip_zero({0})
-    assert marker.c_set == ()
-    assert marker.theta == 0
+def test_spec_shifts_leave_out_the_inert_zero():
+    spec = IncentiveSpec.of({-3, 0, 2})
+    assert (spec.c_set, spec.shifts, spec.theta) == ((-3, 0, 2), (-3, 2), 3)
+    assert IncentiveSpec.of({0}).shifts == ()
+    zero_free = IncentiveSpec.of({-3, 2})
+    assert zero_free.shifts == zero_free.c_set
+    # shifts are derived, not compared: a spec equals and hashes by c_set alone
+    assert spec == IncentiveSpec((-3, 0, 2)) and spec != zero_free
+    assert "shifts" not in repr(spec)
+    with pytest.raises(InvalidGenerators, match="at least one adjustment"):
+        IncentiveSpec(())
 
 
 KNOWN_INCENTIVE = {
