@@ -7,15 +7,23 @@ one minimal generator x above its Frobenius number, when the result
 still honours C; x becomes the child's Frobenius number, so Frobenius
 number and genus grow along every edge and bounded enumeration is exact.
 
-Removing x is viable iff for every adjustment c the value x - c is
-outside the parent, a minimal generator of the child, x itself (only
-c = 0, which is inert and left out of IncentiveSpec.shifts, the
-adjustments scanned) or 0.  The child's generators come from a closed
-form: {0, m, ->} minus m has {m+1, ..., 2m+1}; otherwise the only
-candidate new generator is x + m, needed exactly when no other
-non-multiplicity generator n_j has x + m - n_j inside the parent.  Both
-run on masks alone (the parent's gaps, and its generator mask with bit x
-cleared plus bit x + m when new); a generator tuple is built only for a
+Removing x is viable iff for every adjustment c the value x - c is at
+most 0, outside the parent, a minimal generator of the child or x itself
+(only c = 0, which is inert and left out of IncentiveSpec.shifts, the
+adjustments scanned).  The child's generators come from a closed form:
+{0, m, ->} minus m has {m+1, ..., 2m+1}; otherwise the only candidate
+new generator is x + m, needed exactly when no other non-multiplicity
+generator n_j has x + m - n_j inside the parent.  For x > m the rule is
+one mask per parent, ok, whose bit x says x passes every c but -m (the
+seeds technique of Bras-Amoros and Fernandez-Gonzalez, Math. Comp. 87,
+2018): for c > 0, x - c < x is a gap or generator of the parent, or
+x <= c, so ok &= (gaps | gen_bits) << c | (1 << (c + 1)) - 1, and a c
+at or above the largest generator passes every x and is never shifted;
+for c < 0, x - c > x is a member, so it must be a child generator,
+which for -c != m means a parent generator: ok &= gen_bits >> -c; and
+c = -m passes exactly when x + m is new.  A clear bit skips the
+candidate before any other work.  x = m leaves {0, m + 1, ->}, which
+honours C iff theta <= m + 1.  A generator tuple is built only for a
 child kept.
 
 A tree stores its nodes as int columns derived from the parent's, not as
@@ -329,32 +337,25 @@ def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int
     return bool(children(sg, spec, [g for g in sg.msg.elements if g != x]))
 
 
-def _honours(x: int, cs: tuple[int, ...], ok: int) -> bool:
-    """Is every positive x - cc, for cc in cs, a bit of ok?"""
-    for cc in cs:
-        v = x - cc
-        if v > 0 and not ok >> v & 1:
-            return False
-    return True
-
-
 def _expand(
-    tree: IncentiveTree, level: list[tuple[int, ...]], cs: tuple[int, ...],
+    tree: IncentiveTree, level: list[tuple[int, ...]], spec: IncentiveSpec,
     required: Collection[int], limit: int | None, truncated: bool,
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """Expand the tree's last level; append kept children to the columns.
 
     level holds the generator tuples of the tree's last len(level)
     nodes, the parents; a parent's candidates are its generators above
-    its Frobenius number, ascending, minus those in required.  cs is C
-    without its inert 0, and limit the level's frobenius_limit (None: no
-    bound).  Returns whether the tree is truncated and the kept
-    children's generator tuples, the next level.  The scan, its stops
-    and the closed form are in the module docstring.
+    its Frobenius number, ascending, minus those in required.  limit is
+    the level's frobenius_limit (None: no bound).  Returns whether the
+    tree is truncated and the kept children's generator tuples, the next
+    level.  The scan, its stops, the mask and the closed form are in the
+    module docstring.
     """
+    cs, theta = spec.shifts, spec.theta
     gap_col, gen_col = tree.gap_bits, tree.gen_bits
     parent_col, removed_col = tree.parent_ids, tree.removed
     kept: list[tuple[int, ...]] = []
+    need_new = False  # is -m in C?  Set per parent, and never under C = {0}
     for p, elems in enumerate(level, len(gap_col) - len(level)):
         gaps = gap_col[p]
         frobenius = gaps.bit_length() - 1
@@ -367,11 +368,24 @@ def _expand(
         else:
             fit = limit
         m = elems[0]
-        gen_bits = gen_col[p]
+        gen_bits = ok = gen_col[p]
         rest = elems[1:]
+        # bit x of ok: generator x > m passes every adjustment but -m
+        if cs:
+            need_new = False
+            for c in cs:
+                if c < 0:
+                    if c == -m:
+                        need_new = True
+                    else:
+                        ok &= gen_bits >> -c
+                elif c < elems[-1]:  # a larger c passes every candidate x <= c
+                    ok &= (gaps | gen_bits) << c | (1 << (c + 1)) - 1
+            if frobenius < m:
+                ok |= 1 << m  # x = m is tested on its own rule below
         for i in range(bisect_right(elems, frobenius), len(elems)):
             x = elems[i]
-            if x in required:
+            if cs and not ok >> x & 1 or x in required:  # under {0} every x passes
                 continue
             fits = x <= fit  # x is the child's Frobenius number
             if not fits and truncated:
@@ -387,11 +401,13 @@ def _expand(
                         break
                 else:
                     bits |= 1 << top
+                if need_new and not bits >> top & 1:
+                    continue
+            elif theta > m + 1:
+                continue  # x = m: the child {0, m + 1, ->} honours C iff theta <= m + 1
             else:
-                # x = m: the parent is {0, m, ->}; minus m it has m+1, ..., 2m+1
+                # the parent is {0, m, ->}; minus m it has m+1, ..., 2m+1
                 bits = ((1 << (m + 1)) - 1) << (m + 1)
-            if cs and not _honours(x, cs, gaps | bits):
-                continue
             if not fits:
                 truncated = True
                 break
@@ -417,11 +433,11 @@ def children(
     x_set, when given, lists elements that must stay inside every node, so
     generators in it are never removed; its values must be plain integers.
     """
-    cs = _as_spec(c).shifts
+    spec = _as_spec(c)
     required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
-    tree = IncentiveTree(cs, None, EnumerationBound(MAX_DEPTH, 1))
+    tree = IncentiveTree(spec.shifts, None, EnumerationBound(MAX_DEPTH, 1))
     tree._plant(sg)
-    _expand(tree, [sg.msg.elements], cs, required, None, False)
+    _expand(tree, [sg.msg.elements], spec, required, None, False)
     return [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]
 
 
@@ -468,7 +484,7 @@ def enumerate_tree(
     while level:
         depth = tree.max_depth + 1  # the depth of the children this pass builds
         limit = bound.frobenius_limit(root_genus + depth, depth)
-        tree.truncated, level = _expand(tree, level, spec.shifts, required, limit, tree.truncated)
+        tree.truncated, level = _expand(tree, level, spec, required, limit, tree.truncated)
         if level:
             tree.level_offsets.append(tree.node_count)
     return tree

@@ -109,3 +109,53 @@ def oracle_ab_totals(a_set, b_set, max_len):
             for bb in itertools.product(sorted(b_set), repeat=n_b):
                 totals.add(sum(aa) + sum(bb))
     return totals
+
+
+def kunz_counts(cs, max_genus):
+    """Numerical semigroups honouring cs, counted by genus 0..max_genus.
+
+    A numerical semigroup of multiplicity m is its Apéry set
+    w[i] = k_i * m + i (w[0] = 0) with Kunz coordinates k_i >= 1 and
+    genus sum(k_i), subject to the Kunz inequalities
+    k_a + k_b >= k_{a+b} (a + b < m) and k_a + k_b + 1 >= k_{a+b-m}
+    (a + b > m).  A depth-first search assigns k_1, k_2, ... in order
+    and keeps a leaf that passes the pair test on residues: with
+    w'[0] = m (the least non-zero member of residue 0) and w'[i] = w[i]
+    otherwise, every v = w'[i] + w'[j] + c must satisfy v >= 0 and
+    v >= w[v mod m], since S* + S* is, residue by residue, an
+    arithmetic progression with step m starting at w'[i] + w'[j].
+    N (genus 0, multiplicity 1) qualifies iff min(cs) >= -2.
+    """
+    counts = [0] * (max_genus + 1)
+    if min(cs) >= -2:
+        counts[0] = 1
+    for m in range(2, max_genus + 2):
+        k = [0] * m
+
+        def honours():
+            w = [0] + [k[i] * m + i for i in range(1, m)]
+            low = [m] + w[1:]
+            for i in range(m):
+                for j in range(i, m):
+                    for c in cs:
+                        v = low[i] + low[j] + c
+                        if v < 0 or v < w[v % m]:
+                            return False
+            return True
+
+        def assign(i, left):
+            if i == m:
+                if honours():
+                    counts[max_genus - left] += 1
+                return
+            # every later coordinate is at least 1
+            top = left - (m - 1 - i)
+            for a in range(1, i):
+                top = min(top, k[a] + k[i - a])
+            for v in range(1, top + 1):
+                k[i] = v
+                if all(v + k[b] + 1 >= k[i + b - m] for b in range(m - i + 1, i + 1)):
+                    assign(i + 1, left - v)
+
+        assign(1, max_genus)
+    return counts

@@ -2,10 +2,14 @@ import gc
 import hashlib
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +43,9 @@ from incentives import (
     msg_after_removal,
     numerical_semigroup,
 )
+from oracles import kunz_counts
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SIX_CONSTRAINT_SETS = [(-3, 2), (-1, 1), (-2,), (-4, 6), (-2, 3), (1,)]
 
@@ -168,6 +175,40 @@ def test_large_root_expands_on_masks():
     assert tree.nodes[1].semigroup.msg.elements == tuple(range(th + 1, 2 * th + 2))
 
 
+@pytest.mark.parametrize(
+    "call, result",
+    [
+        ("enumerate_tree((-3, 2**31), None, EnumerationBound('max_genus', 8)).level_sizes",
+         "[1, 2, 2, 4, 6, 8, 14]"),  # the sizes of {-3}'s tree
+        ("child_viable(numerical_semigroup((3, 4, 5)), 4, (2**31,))", "True"),
+    ],
+)
+def test_an_adjustment_past_every_generator_is_never_shifted(call, result):
+    # c = 2**31 passes every candidate x <= c; shifting a mask by it would
+    # build 256 MiB ints for a single parent, more than the 512 MiB cap allows
+    script = "\n".join(
+        [
+            "import resource, time",
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))",
+            "from incentives import EnumerationBound, child_viable, enumerate_tree, numerical_semigroup",
+            "start = time.perf_counter()",
+            f"print({call})",
+            "print(time.perf_counter() - start)",
+        ]
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    got, seconds = proc.stdout.splitlines()
+    assert got == result
+    assert float(seconds) < 1
+
+
 def test_single_removals_build_one_child(monkeypatch):
     # child_viable and msg_after_removal keep every other generator, so
     # a root with a thousand candidates yields at most one child record
@@ -212,6 +253,10 @@ def test_child_viable_smallest_generator_cases():
     assert child_viable(naturals, 1, {-1})
     half_free = numerical_semigroup((2, 3))
     assert child_viable(half_free, 2, {-2})
+    # {0, 3, ->} minus 3 is {0, 4, ->}, which honours C iff theta <= 4,
+    # whether or not the parent does
+    assert child_viable(numerical_semigroup((3, 4, 5)), 3, {-4})
+    assert not child_viable(numerical_semigroup((3, 4, 5)), 3, {-5})
 
 
 def test_child_viable_zero_difference_is_ignored():
@@ -231,6 +276,39 @@ def test_child_viable_matches_is_incentive_of_the_child():
                     want = is_incentive(msg_after_removal(sg, x), cs)
                     assert child_viable(sg, x, cs) == want, (cs, sg, x)
     assert cases == 748
+
+
+# every numerical semigroup with F <= 12 that has a generator above F,
+# and the ordinary ones {0, m, ->}, whose x = m child gains 2m + 1
+MASK_PARENTS = [
+    sg for sg in brute_force_family((0,), 12).values() if sg.msg.elements[-1] > sg.frobenius
+]
+ORDINARY_PARENTS = sorted(
+    (sg for sg in MASK_PARENTS if sg.frobenius < sg.msg.elements[0]), key=lambda sg: sg.frobenius
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mask_verdicts_match_the_pair_test_at_its_corners(data):
+    # adjustments at the mask's edges: -m (decided by the new generator
+    # x + m), -(m + 1) (where the x = m child differs from the parent),
+    # c >= x (x - c <= 0 passes) and c >= the largest generator (never
+    # shifted); the parent honours C, as every tree node does
+    sg = data.draw(st.sampled_from(ORDINARY_PARENTS) | st.sampled_from(MASK_PARENTS))
+    gens = sg.msg.elements
+    m, top = gens[0], gens[-1]
+    candidates = [x for x in gens if x > sg.frobenius]
+    corner = (
+        st.sampled_from([-m, -(m + 1)])
+        | st.integers(candidates[0], top)
+        | st.integers(top, top + 9)
+        | st.integers(-13, 13)
+    )
+    cs = data.draw(st.lists(corner, min_size=1, max_size=3))
+    assume(is_incentive(gens, cs))
+    want = [x for x in candidates if is_incentive(_brute_msg_after(sg, x), cs)]
+    assert [x for x, _ in children(sg, cs)] == want
 
 
 def test_children_respect_seed_elements():
@@ -430,6 +508,21 @@ def test_unconstrained_tree_genus_counts_match_a007323():
     assert tuple(counts) == A007323
     assert tree.node_count == 33282
     assert tree.truncated
+
+
+# the five trees of the tree benchmark, each at its genus bound
+BENCHMARK_TREES = [((0,), 18), ((-3, 2), 19), ((5,), 18), ((-7, 3), 20), ((-5, 1, 4), 20)]
+
+
+@pytest.mark.parametrize("cs, genus", BENCHMARK_TREES)
+def test_tree_level_sizes_match_the_kunz_count(cs, genus):
+    # every node of depth d has the root's genus plus d, and the Kunz
+    # oracle counts the family by genus without building a semigroup
+    tree = enumerate_tree(cs, None, EnumerationBound(MAX_GENUS, genus))
+    root_genus = tree.root.semigroup.genus
+    counts = kunz_counts(cs, genus)
+    assert counts[:root_genus] == [0] * root_genus
+    assert counts[root_genus:] == tree.level_sizes
 
 
 def test_tree_errors():
@@ -863,22 +956,33 @@ def test_bound_is_settled_once_per_level(monkeypatch, cs):
 
 
 def test_viability_scans_are_pinned(monkeypatch):
-    calls = [0]
-    original = tree_mod._honours
+    # parents scanned (one bisection, and for C != {0} one mask, each)
+    # and candidates past the mask (each looked up in the seed set)
+    counts = {"parents": 0, "candidates": 0}
+    bisect_right = tree_mod.bisect_right
 
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
+    def scanning(*args):
+        counts["parents"] += 1
+        return bisect_right(*args)
 
-    monkeypatch.setattr(tree_mod, "_honours", counting)
+    class Seeds(frozenset):
+        def __contains__(self, x):
+            counts["candidates"] += 1
+            return frozenset.__contains__(self, x)
+
+    monkeypatch.setattr(tree_mod, "bisect_right", scanning)
+    monkeypatch.setattr(tree_mod, "frozenset", Seeds, raising=False)
     # scanning the frontier parent by parent once the tree is truncated
-    # would test candidates the bound already rejects
+    # would scan its 85 deepest nodes and test candidates the bound
+    # already rejects
     tree = enumerate_tree((-3, 2), None, EnumerationBound(MAX_GENUS, 12))
-    assert (tree.node_count, calls[0]) == (215, 599)
-    # with no adjustment but the inert 0 there is nothing to scan
-    calls[0] = 0
+    assert (tree.node_count, tree.level_sizes[-1]) == (215, 85)
+    assert counts == {"parents": 131, "candidates": 217}
+    # with no adjustment but the inert 0 every candidate passes the mask
+    counts.update(dict.fromkeys(counts, 0))
     tree = enumerate_tree((0,), None, EnumerationBound(MAX_GENUS, 12))
-    assert (tree.node_count, calls[0]) == (1413, 0)
+    assert tree.node_count == 1413
+    assert counts == {"parents": 822, "candidates": 1413}
 
 
 # The numerical C-incentives form a Frobenius pseudo-variety: the root
