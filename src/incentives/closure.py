@@ -29,7 +29,9 @@ Zero adjustments are inert: a monoid honours C exactly when it honours C
 minus {0}.  IncentiveSpec.shifts is C minus {0}, the adjustments the pair
 test, both engines and the tree read; under {0}, whose shifts are empty,
 every submonoid qualifies and the closure of a seed set is just the
-monoid it generates.  Messages name c_set, the set as given.
+monoid it generates.  Messages name c_set, the set as given, except
+the fixpoint's refusal, which sees only the reduced problem and names
+the seeds and adjustments scaled back, zeros dropped.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import InternalInvariant, InvalidGenerators, NotAdmissible
+from .errors import BoundTooLarge, InternalInvariant, InvalidGenerators, NotAdmissible
 from .monoid import (
+    MAX_INPUT,
     GenSet,
     NumericalSemigroup,
     _as_genset,
@@ -61,6 +64,10 @@ NUMERICAL = "numerical"
 MULTIPLE = "multiple"
 
 ITERATION_CAP = 10_000
+
+
+def _braced(values: Iterable[int]) -> str:
+    return "{" + ",".join(map(str, values)) + "}"
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class IncentiveSpec:
         return cls(_int_set(values, "adjustments"))
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(v) for v in self.c_set) + "}"
+        return _braced(self.c_set)
 
 
 def _as_spec(c: "IncentiveSpec | Iterable[int]") -> IncentiveSpec:
@@ -111,19 +118,34 @@ def is_incentive(gens: GenSet | Iterable[int], c: IncentiveSpec | Iterable[int])
     The pair test suffices: the monoid qualifies iff n_i + n_j + c stays a
     member for every pair of generators (i <= j) and every adjustment c.
     Any generating set works; a minimal one just makes fewer pairs.
+
+    With d the gcd of gens, every multiple of d from (a_1 - 1)(a_k - 1)
+    on is a member (Schur's bound on the Frobenius number), so the
+    membership table stops there or at the largest value tested, and a
+    pair whose sum plus min(C) lies past the table's last non-member
+    passes every adjustment unread.  An adjustment that is not a multiple
+    of d fails every pair.
     """
     g = _as_genset(gens)
     shifts = _as_spec(c).shifts
     if not shifts:
         return True
     elems = g.elements
-    limit = 2 * elems[-1] + max(shifts[-1], 0)
+    limit = min(2 * elems[-1] + max(shifts[-1], 0), (elems[0] - 1) * (elems[-1] - 1))
     table = _byte_table(_generated(elems, limit), limit + 1)
+    d = math.gcd(*elems)
+    if any(cc % d for cc in shifts):
+        return False
+    top = table.rfind(0) - shifts[0]  # pair sums above it pass every adjustment
     for i, a in enumerate(elems):
+        if 2 * a > top:
+            break
         for b in elems[i:]:
+            if a + b > top:
+                break
             for cc in shifts:
                 v = a + b + cc
-                if v < 0 or not table[v]:
+                if v < 0 or v <= limit and not table[v]:
                     return False
     return True
 
@@ -236,21 +258,24 @@ def closure_msg(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> Closu
     if not xs:
         return ClosureResult(TRIVIAL, 1, None, None)
     scale, xs, cs = _reduced(xs, spec.shifts)
-    ns = _fixpoint(xs, cs)
+    ns = _fixpoint(xs, cs, scale)
     if scale == 1:
         return ClosureResult(NUMERICAL, 1, ns.msg, ns)
     scaled = GenSet(tuple(g * scale for g in ns.msg.elements))
     return ClosureResult(MULTIPLE, scale, scaled, ns)
 
 
-def _fixpoint(xs: tuple[int, ...], cs: tuple[int, ...]) -> NumericalSemigroup:
+def _fixpoint(xs: tuple[int, ...], cs: tuple[int, ...], scale: int) -> NumericalSemigroup:
     """The numerical closure of reduced seeds xs under adjustments cs.
 
     Each round adjoins {pair sum + c} for previously unseen pair sums of
     the current minimal generators and re-minimizes; the round count is
     capped because a bound on rounds is not obvious, but in practice
-    small seeds stabilize within a handful of rounds.
+    small seeds stabilize within a handful of rounds.  A value whose
+    multiple by scale (the closure's own value) would pass 2**31 raises
+    BoundTooLarge naming the seeds and adjustments at that scale.
     """
+    cap = MAX_INPUT // scale
     y = msg(GenSet(xs)).elements
     seen_sums: set[int] = set()
     for _ in range(ITERATION_CAP):
@@ -263,6 +288,11 @@ def _fixpoint(xs: tuple[int, ...], cs: tuple[int, ...]) -> NumericalSemigroup:
                 if v < 0:
                     raise InternalInvariant(
                         f"pair sum {e} plus adjustment {cc} went negative during closure"
+                    )
+                if v > cap:
+                    raise BoundTooLarge(
+                        f"closing {_braced(x * scale for x in xs)} under "
+                        f"{_braced(c * scale for c in cs)} adjoins values past the 2**31 cap"
                     )
                 if v:
                     z.add(v)
@@ -372,5 +402,5 @@ def _membership(xs: tuple[int, ...], cs: tuple[int, ...], n: int) -> bool:
         return True
     n //= scale
     if n > _DP_CEILING:
-        return n in _fixpoint(xs, cs)
+        return n in _fixpoint(xs, cs, scale)
     return _slack_profile(xs, cs, _profile_cap(n))[n] >= 1

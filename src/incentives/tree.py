@@ -7,24 +7,32 @@ one minimal generator x above its Frobenius number, when the result
 still honours C; x becomes the child's Frobenius number, so Frobenius
 number and genus grow along every edge and bounded enumeration is exact.
 
-Removing x is viable iff for every adjustment c the value x - c is at
-most 0, outside the parent, a minimal generator of the child or x itself
-(only c = 0, which is inert and left out of IncentiveSpec.shifts, the
-adjustments scanned).  The child's generators come from a closed form:
-{0, m, ->} minus m has {m+1, ..., 2m+1}; otherwise the only candidate
-new generator is x + m, needed exactly when no other non-multiplicity
-generator n_j has x + m - n_j inside the parent.  For x > m the rule is
-one mask per parent, ok, whose bit x says x passes every c but -m (the
-seeds technique of Bras-Amoros and Fernandez-Gonzalez, Math. Comp. 87,
-2018): for c > 0, x - c < x is a gap or generator of the parent, or
-x <= c, so ok &= (gaps | gen_bits) << c | (1 << (c + 1)) - 1, and a c
-at or above the largest generator passes every x and is never shifted;
-for c < 0, x - c > x is a member, so it must be a child generator,
-which for -c != m means a parent generator: ok &= gen_bits >> -c; and
-c = -m passes exactly when x + m is new.  A clear bit skips the
-candidate before any other work.  x = m leaves {0, m + 1, ->}, which
-honours C iff theta <= m + 1.  A generator tuple is built only for a
-child kept.
+Removing x from a parent that honours C is viable iff for every
+adjustment c the value x - c is at most 0, outside the parent, a minimal
+generator of the child or x itself (only c = 0, which is inert and left
+out of IncentiveSpec.shifts, the adjustments scanned).  The child's
+generators come from a closed form: {0, m, ->} minus m has {m+1, ...,
+2m+1}; otherwise the only candidate new generator is x + m, needed
+exactly when no other non-multiplicity generator n_j has x + m - n_j
+inside the parent.  The rule is one mask per parent, ok, whose bit x
+says x passes every c but -m (the seeds technique of Bras-Amoros and
+Fernandez-Gonzalez, Math. Comp. 87, 2018): for c > 0, x - c < x is a gap
+or generator of the parent, or x <= c, so ok &= (gaps | gen_bits) << c |
+(1 << (c + 1)) - 1, and a c at or above the largest generator passes
+every x and is never shifted; for c < 0, x - c > x is a member, so it
+must be a child generator, which for -c != m means a parent generator:
+ok &= gen_bits >> -c; and c = -m passes exactly when x + m is new.  The
+parent {0, m, ->} honours C only if theta <= m + 1, so its child {0,
+m + 1, ->} always does, and ok keeps bit m.  A clear bit skips the
+candidate before any other work, and a generator tuple is built only
+for a child kept.
+
+These rules hold only for a parent in the family, which is every parent
+enumerate_tree expands.  children judges the children of any other
+parent by the pair test, and only the root can pass: the family is a
+Frobenius pseudo-variety (Robles-Perez and Rosales, Ann. Mat. Pura Appl.
+2015), so a member other than the root is a child of a member, itself
+plus its Frobenius number.
 
 A tree stores its nodes as int columns derived from the parent's, not as
 records (IncentiveTree), and generator tuples live only for the level
@@ -330,7 +338,8 @@ def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int
     """Does the semigroup minus x still honour the constraint set?
 
     This is children with every other generator kept, so x is the one
-    candidate.
+    candidate: the mask rules answer for a semigroup that honours c, and
+    the pair test of the child for any other, where only the root passes.
     """
     spec = _as_spec(c)
     _check_removal(sg, x)
@@ -338,24 +347,23 @@ def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int
 
 
 def _expand(
-    tree: IncentiveTree, level: list[tuple[int, ...]], spec: IncentiveSpec,
+    tree: IncentiveTree, level: list[tuple[int, ...]], shifts: tuple[int, ...],
     required: Collection[int], limit: int | None, truncated: bool,
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """Expand the tree's last level; append kept children to the columns.
 
     level holds the generator tuples of the tree's last len(level)
-    nodes, the parents; a parent's candidates are its generators above
-    its Frobenius number, ascending, minus those in required.  limit is
-    the level's frobenius_limit (None: no bound).  Returns whether the
-    tree is truncated and the kept children's generator tuples, the next
-    level.  The scan, its stops, the mask and the closed form are in the
-    module docstring.
+    nodes, the parents, each of which honours the adjustments shifts; a
+    parent's candidates are its generators above its Frobenius number,
+    ascending, minus those in required.  limit is the level's
+    frobenius_limit (None: no bound).  Returns whether the tree is
+    truncated and the kept children's generator tuples, the next level.
+    The scan, its stops, the mask and the closed form are in the module
+    docstring.
     """
-    cs, theta = spec.shifts, spec.theta
     gap_col, gen_col = tree.gap_bits, tree.gen_bits
     parent_col, removed_col = tree.parent_ids, tree.removed
     kept: list[tuple[int, ...]] = []
-    need_new = False  # is -m in C?  Set per parent, and never under C = {0}
     for p, elems in enumerate(level, len(gap_col) - len(level)):
         gaps = gap_col[p]
         frobenius = gaps.bit_length() - 1
@@ -370,22 +378,21 @@ def _expand(
         m = elems[0]
         gen_bits = ok = gen_col[p]
         rest = elems[1:]
-        # bit x of ok: generator x > m passes every adjustment but -m
-        if cs:
-            need_new = False
-            for c in cs:
-                if c < 0:
-                    if c == -m:
-                        need_new = True
-                    else:
-                        ok &= gen_bits >> -c
-                elif c < elems[-1]:  # a larger c passes every candidate x <= c
-                    ok &= (gaps | gen_bits) << c | (1 << (c + 1)) - 1
-            if frobenius < m:
-                ok |= 1 << m  # x = m is tested on its own rule below
+        # bit x of ok: generator x passes every adjustment but -m
+        need_new = False  # is -m in C?
+        for c in shifts:
+            if c < 0:
+                if c == -m:
+                    need_new = True
+                else:
+                    ok &= gen_bits >> -c
+            elif c < elems[-1]:  # a larger c passes every candidate x <= c
+                ok &= (gaps | gen_bits) << c | (1 << (c + 1)) - 1
+        if frobenius < m:
+            ok |= 1 << m  # the parent is {0, m, ->}, and minus m it still honours C
         for i in range(bisect_right(elems, frobenius), len(elems)):
             x = elems[i]
-            if cs and not ok >> x & 1 or x in required:  # under {0} every x passes
+            if not ok >> x & 1 or x in required:
                 continue
             fits = x <= fit  # x is the child's Frobenius number
             if not fits and truncated:
@@ -403,8 +410,6 @@ def _expand(
                     bits |= 1 << top
                 if need_new and not bits >> top & 1:
                     continue
-            elif theta > m + 1:
-                continue  # x = m: the child {0, m + 1, ->} honours C iff theta <= m + 1
             else:
                 # the parent is {0, m, ->}; minus m it has m+1, ..., 2m+1
                 bits = ((1 << (m + 1)) - 1) << (m + 1)
@@ -432,13 +437,18 @@ def children(
 
     x_set, when given, lists elements that must stay inside every node, so
     generators in it are never removed; its values must be plain integers.
+    The mask rules hold only for a parent that honours c, as every tree
+    node does; any other parent's children (under {0}) are judged by the
+    pair test, and only the root, max_numerical_incentive(c), can pass.
     """
     spec = _as_spec(c)
     required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
+    in_family = is_incentive(sg.msg, spec)
     tree = IncentiveTree(spec.shifts, None, EnumerationBound(MAX_DEPTH, 1))
     tree._plant(sg)
-    _expand(tree, [sg.msg.elements], spec, required, None, False)
-    return [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]
+    _expand(tree, [sg.msg.elements], spec.shifts if in_family else (), required, None, False)
+    kids = [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]
+    return kids if in_family else [k for k in kids if is_incentive(k[1].msg, spec)]
 
 
 def enumerate_tree(
@@ -484,7 +494,7 @@ def enumerate_tree(
     while level:
         depth = tree.max_depth + 1  # the depth of the children this pass builds
         limit = bound.frobenius_limit(root_genus + depth, depth)
-        tree.truncated, level = _expand(tree, level, spec, required, limit, tree.truncated)
+        tree.truncated, level = _expand(tree, level, spec.shifts, required, limit, tree.truncated)
         if level:
             tree.level_offsets.append(tree.node_count)
     return tree

@@ -159,3 +159,38 @@ def kunz_counts(cs, max_genus):
 
         assign(1, max_genus)
     return counts
+
+
+def honours(gens, cs):
+    """Does the monoid generated by gens honour every adjustment in cs?
+
+    Apéry-set form, with m the least generator: w[r] is the least member
+    congruent to r modulo m (None when no member is, as for residues
+    outside the multiples of the gcd), found by relaxing w[r] + g until
+    nothing improves, and v is a member iff v >= w[v mod m].  The
+    non-zero members of residue r are low[r] + k * m (low[0] = m,
+    low[r] = w[r] otherwise), so s + t + c over non-zero members s, t is
+    low[i] + low[j] + c + k * m, and the monoid honours cs iff each
+    low[i] + low[j] + c is a member.  No table grows with the adjustments.
+    """
+    m = min(gens)
+    w = [None] * m
+    w[0] = 0
+    changed = True
+    while changed:
+        changed = False
+        for r in range(m):
+            if w[r] is None:
+                continue
+            for g in gens:
+                v = w[r] + g
+                if w[v % m] is None or v < w[v % m]:
+                    w[v % m] = v
+                    changed = True
+
+    def member(v):
+        return v >= 0 and w[v % m] is not None and v >= w[v % m]
+
+    low = [m] + w[1:]
+    reached = [r for r in range(m) if low[r] is not None]
+    return all(member(low[i] + low[j] + c) for i in reached for j in reached for c in cs)

@@ -56,6 +56,8 @@ def test_admissible_command():
 def test_check_incentive_command():
     assert cli("check-incentive", "--gens=3,7,8", "--c=-3,2")[1] == "true\n"
     assert cli("check-incentive", "--gens=3", "--c=-4")[1] == "false\n"
+    # an adjustment at the 2**31 cap is answered, not refused
+    assert cli("check-incentive", "--gens=3,4,5", "--c=2147483648") == (0, "true\n", "")
 
 
 def test_closure_text_golden():
@@ -89,6 +91,14 @@ def test_closure_domain_error_exit_1():
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_closure_past_the_input_cap_is_refused_by_name():
+    # 3 + 3 + 2**31 would be a generator past the cap; the message names
+    # the seeds and adjustments, not that sum
+    assert cli("closure", "--c=2147483648", "--x=3") == (
+        1, "", "error: closing {3} under {2147483648} adjoins values past the 2**31 cap\n"
+    )
 
 
 def test_not_admissible_names_the_constraint_set_as_given():

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +15,11 @@ from incentives import (
     MULTIPLE,
     NUMERICAL,
     TRIVIAL,
+    BoundTooLarge,
     IncentiveSpec,
     InvalidGenerators,
     NotAdmissible,
+    SequenceModel,
     ValueOutOfRange,
     closure_membership,
     closure_msg,
@@ -22,8 +28,11 @@ from incentives import (
     is_incentive,
     membership,
     theta,
+    verify_theorem5,
 )
-from oracles import oracle_closure_member, oracle_is_incentive
+from oracles import honours, oracle_closure_member, oracle_is_incentive
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_spec_and_theta():
@@ -60,6 +69,7 @@ KNOWN_INCENTIVE = {
     ((5, 7, 9, 11), (-3, 2)): False,
     ((4, 6), (-2, 2)): True,
     ((3,), (0,)): True,
+    ((4, 5), (1,)): False,  # 5 + 5 + 1, the table's last entry, is the one failing sum
 }
 
 
@@ -75,6 +85,71 @@ def test_is_incentive_known_values():
 @settings(max_examples=120)
 def test_is_incentive_matches_oracle(gens, cs):
     assert is_incentive(gens, cs) == oracle_is_incentive(sorted(gens), sorted(cs))
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_is_incentive_matches_the_apery_oracle(data):
+    # gcd 1 and gcd d > 1 generator sets; adjustments near 0, multiples of
+    # d, and up to 2**31 in magnitude, where the table stops at Schur's
+    # bound and pairs past the last non-member are skipped
+    d = data.draw(st.sampled_from([1, 1, 2, 3, 6]))
+    gens = data.draw(st.lists(st.integers(1, 30).map(lambda g: g * d), min_size=1, max_size=5))
+    adjustment = (
+        st.integers(-13, 13)
+        | st.integers(-13, 13).map(lambda k: k * d)
+        | st.integers(-(2**31), 2**31)
+        | st.integers(0, 2**31 // d).map(lambda k: k * d)
+    )
+    cs = data.draw(st.lists(adjustment, min_size=1, max_size=3))
+    assert is_incentive(gens, cs) == honours(gens, cs), (gens, cs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["is_incentive((3, 4, 5), (2**31,))", "is_incentive(range(2**16, 2**17), (-(2**16),))"],
+)
+def test_is_incentive_is_bounded_in_time_and_memory(call):
+    # a table to 2 * 5 + 2**31 would need 2 GiB, and the pair scan of
+    # {0, 2**16, ->} 2**31 steps; both answer True within 2 s under 512 MiB
+    script = "\n".join(
+        [
+            "import resource, time",
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))",
+            "from incentives import is_incentive",
+            "start = time.perf_counter()",
+            f"print({call})",
+            "print(time.perf_counter() - start)",
+        ]
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    got, seconds = proc.stdout.splitlines()
+    assert got == "True"
+    assert float(seconds) < 2
+
+
+def test_closure_past_the_input_cap_names_its_inputs():
+    # 3 + 3 + 2**31 would be a generator past the cap; the refusal names
+    # the seeds and adjustments, at the caller's scale, not that sum
+    cap = " adjoins values past the 2**31 cap"
+    for call, text in [
+        (lambda: closure_msg({3}, {2**31}), "closing {3} under {2147483648}"),
+        (lambda: closure_msg({0, 4}, {0, 2**31}), "closing {4} under {2147483648}"),
+        (lambda: closure_msg({6, 9}, {-3, 2**31 - 2}), "closing {6,9} under {-3,2147483646}"),
+        (lambda: closure_membership({3}, {2**31}, 2 * 10**6), "closing {3} under {2147483648}"),
+        (lambda: verify_theorem5(SequenceModel.of({3}, {0, 2**31}), 10),
+         "closing {3} under {2147483648}"),
+    ]:
+        with pytest.raises(BoundTooLarge) as exc:
+            call()
+        assert str(exc.value) == text + cap
 
 
 def test_half_theta_known_values():

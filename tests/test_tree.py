@@ -311,6 +311,38 @@ def test_mask_verdicts_match_the_pair_test_at_its_corners(data):
     assert [x for x, _ in children(sg, cs)] == want
 
 
+def test_a_parent_outside_the_family_is_judged_by_the_pair_test():
+    # <3,5,7> fails {-2} (3 + 3 - 2 = 4); its child <3,7,8> fails too,
+    # and the x - c rule alone would pass it
+    sg = numerical_semigroup((3, 5, 7))
+    assert msg_after_removal(sg, 5).elements == (3, 7, 8)
+    assert not child_viable(sg, 5, {-2})
+    assert children(sg, {-2}) == []
+    # {0, 3, ->} fails {-4}; minus 3 it is {0, 4, ->}, the root for {-4}
+    assert children(numerical_semigroup((3, 4, 5)), {-4}) == [
+        (3, max_numerical_incentive({-4}))
+    ]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_public_steps_match_the_pair_test_on_any_parent(data):
+    # parents need not honour C; one that does not can only have the
+    # root as a child, since adding its Frobenius number to a member
+    # other than the root gives a member (the pseudo-variety axiom)
+    sg = data.draw(st.sampled_from(MASK_PARENTS))
+    cs = data.draw(st.lists(st.integers(-13, 13), min_size=1, max_size=3))
+    candidates = [x for x in sg.msg.elements if x > sg.frobenius]
+    x = data.draw(st.sampled_from(candidates))
+    assert child_viable(sg, x, cs) == is_incentive(msg_after_removal(sg, x), cs)
+    want = [(v, _brute_msg_after(sg, v)) for v in candidates]
+    want = [(v, gens) for v, gens in want if is_incentive(gens, cs)]
+    got = children(sg, cs)
+    assert [(v, child.msg.elements) for v, child in got] == want
+    if not is_incentive(sg.msg, cs):
+        assert all(child == max_numerical_incentive(cs) for _, child in got)
+
+
 def test_children_respect_seed_elements():
     root = numerical_semigroup((3, 4, 5))
     all_kids = children(root, (-3, 2))
@@ -514,7 +546,9 @@ def test_unconstrained_tree_genus_counts_match_a007323():
 BENCHMARK_TREES = [((0,), 18), ((-3, 2), 19), ((5,), 18), ((-7, 3), 20), ((-5, 1, 4), 20)]
 
 
-@pytest.mark.parametrize("cs, genus", BENCHMARK_TREES)
+# the six small sets run through the same mask and had no count pin past
+# brute_force_family's Frobenius number 18
+@pytest.mark.parametrize("cs, genus", BENCHMARK_TREES + [(cs, 16) for cs in SIX_CONSTRAINT_SETS])
 def test_tree_level_sizes_match_the_kunz_count(cs, genus):
     # every node of depth d has the root's genus plus d, and the Kunz
     # oracle counts the family by genus without building a semigroup
