@@ -29,9 +29,7 @@ Zero adjustments are inert: a monoid honours C exactly when it honours C
 minus {0}.  IncentiveSpec.shifts is C minus {0}, the adjustments the pair
 test, both engines and the tree read; under {0}, whose shifts are empty,
 every submonoid qualifies and the closure of a seed set is just the
-monoid it generates.  Messages name c_set, the set as given, except
-the fixpoint's refusal, which sees only the reduced problem and names
-the seeds and adjustments scaled back, zeros dropped.
+monoid it generates.  Messages name c_set, the set as given.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from typing import Iterable
 
 from .errors import BoundTooLarge, InternalInvariant, InvalidGenerators, NotAdmissible
 from .monoid import (
+    _GENERATED_CEILING,
     MAX_INPUT,
     GenSet,
     NumericalSemigroup,
@@ -120,8 +119,11 @@ def is_incentive(gens: GenSet | Iterable[int], c: IncentiveSpec | Iterable[int])
     Any generating set works; a minimal one just makes fewer pairs.
 
     With d the gcd of gens, every multiple of d from (a_1 - 1)(a_k - 1)
-    on is a member (Schur's bound on the Frobenius number), so the
-    membership table stops there or at the largest value tested, and a
+    on is a member (Schur's bound on the Frobenius number), and so is
+    every value above a_k - a_1 when gens meet every residue mod a_1
+    (Selmer: the Frobenius number is the largest Apery element minus
+    a_1), as the root {theta, ..., 2 * theta - 1} does.  The membership
+    table stops at the smaller bound or at the largest value tested, and a
     pair whose sum plus min(C) lies past the table's last non-member
     passes every adjustment unread.  An adjustment that is not a multiple
     of d fails every pair.
@@ -131,7 +133,10 @@ def is_incentive(gens: GenSet | Iterable[int], c: IncentiveSpec | Iterable[int])
     if not shifts:
         return True
     elems = g.elements
-    limit = min(2 * elems[-1] + max(shifts[-1], 0), (elems[0] - 1) * (elems[-1] - 1))
+    m = elems[0]
+    limit = min(2 * elems[-1] + max(shifts[-1], 0), (m - 1) * (elems[-1] - 1))
+    if len(elems) >= m and len({e % m for e in elems}) == m:
+        limit = min(limit, elems[-1] - m)
     table = _byte_table(_generated(elems, limit), limit + 1)
     d = math.gcd(*elems)
     if any(cc % d for cc in shifts):
@@ -257,25 +262,31 @@ def closure_msg(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> Closu
     xs = _admitted(x_set, spec)
     if not xs:
         return ClosureResult(TRIVIAL, 1, None, None)
-    scale, xs, cs = _reduced(xs, spec.shifts)
-    ns = _fixpoint(xs, cs, scale)
+    scale, rxs, cs = _reduced(xs, spec.shifts)
+    ns = _fixpoint(rxs, cs, min(_GENERATED_CEILING, MAX_INPUT // scale), (xs, spec.c_set))
     if scale == 1:
         return ClosureResult(NUMERICAL, 1, ns.msg, ns)
     scaled = GenSet(tuple(g * scale for g in ns.msg.elements))
     return ClosureResult(MULTIPLE, scale, scaled, ns)
 
 
-def _fixpoint(xs: tuple[int, ...], cs: tuple[int, ...], scale: int) -> NumericalSemigroup:
+def _fixpoint(
+    xs: tuple[int, ...], cs: tuple[int, ...], cap: int, given: tuple[tuple[int, ...], ...]
+) -> NumericalSemigroup:
     """The numerical closure of reduced seeds xs under adjustments cs.
 
     Each round adjoins {pair sum + c} for previously unseen pair sums of
     the current minimal generators and re-minimizes; the round count is
     capped because a bound on rounds is not obvious, but in practice
-    small seeds stabilize within a handful of rounds.  A value whose
-    multiple by scale (the closure's own value) would pass 2**31 raises
-    BoundTooLarge naming the seeds and adjustments at that scale.
+    small seeds stabilize within a handful of rounds.
+
+    A value to adjoin above cap raises BoundTooLarge naming given, the
+    admitted seeds and the constraint set as the caller gave it.  The
+    seeds and adjustments share no divisor, so every round's set has gcd
+    1 and msg would need a generated set up to its largest value: cap is
+    at most _GENERATED_CEILING, and closure_msg also keeps its scaled
+    generators within 2**31.
     """
-    cap = MAX_INPUT // scale
     y = msg(GenSet(xs)).elements
     seen_sums: set[int] = set()
     for _ in range(ITERATION_CAP):
@@ -290,9 +301,10 @@ def _fixpoint(xs: tuple[int, ...], cs: tuple[int, ...], scale: int) -> Numerical
                         f"pair sum {e} plus adjustment {cc} went negative during closure"
                     )
                 if v > cap:
+                    seeds, c_set = given
                     raise BoundTooLarge(
-                        f"closing {_braced(x * scale for x in xs)} under "
-                        f"{_braced(c * scale for c in cs)} adjoins values past the 2**31 cap"
+                        f"closing {_braced(seeds)} under {_braced(c_set)} "
+                        "adjoins values past the closure's size cap"
                     )
                 if v:
                     z.add(v)
@@ -387,20 +399,23 @@ def closure_membership(x_set: Iterable[int], c: IncentiveSpec | Iterable[int], n
     """
     _check_ints((n,), "membership targets")
     spec = _as_spec(c)
-    return _membership(_admitted(x_set, spec), spec.shifts, n)
+    return _membership(_admitted(x_set, spec), spec.shifts, n, spec.c_set)
 
 
-def _membership(xs: tuple[int, ...], cs: tuple[int, ...], n: int) -> bool:
-    """closure_membership past validation: n checked, cs zero-free, xs admitted under cs."""
+def _membership(xs: tuple[int, ...], cs: tuple[int, ...], n: int, c_set: tuple[int, ...]) -> bool:
+    """closure_membership past validation: n checked, cs zero-free, xs admitted under cs.
+
+    c_set is the constraint set as the caller gave it, for messages.
+    """
     if n <= 0 or not xs:
         return n == 0
-    scale, xs, cs = _reduced(xs, cs)
+    scale, rxs, cs = _reduced(xs, cs)
     if n % scale:
         return False
-    if xs[0] == 1:
+    if rxs[0] == 1:
         # a monoid holding 1 is all of N
         return True
     n //= scale
     if n > _DP_CEILING:
-        return n in _fixpoint(xs, cs, scale)
-    return _slack_profile(xs, cs, _profile_cap(n))[n] >= 1
+        return n in _fixpoint(rxs, cs, _GENERATED_CEILING, (xs, c_set))
+    return _slack_profile(rxs, cs, _profile_cap(n))[n] >= 1

@@ -145,42 +145,17 @@ def _generated(elements: Iterable[int], limit: int) -> int:
     Bit v is set iff 0 <= v <= limit is a sum of the elements.  This is
     the one builder of generated sets in the library.  A limit above
     _GENERATED_CEILING raises BoundTooLarge before anything is allocated.
-    A dense set (more elements than half its span, as the root generators
-    {theta, ..., 2 * theta - 1}) is added run by run: k elements of the
-    run g, ..., g + w sum to exactly [k * g, k * (g + w)], so doubling
-    steps over these intervals reach every such sum, and the root costs
-    about 2 * log2(theta) shifts, not 2 * theta.  Other sets are added
-    element by element, which costs less per element.
     """
     if limit > _GENERATED_CEILING:
         raise BoundTooLarge(f"generated sets are capped at 2**24 values, got limit {limit}")
     mask = (1 << (limit + 1)) - 1
     bits = 1
-    vals = tuple(elements)
-    if not vals or 2 * len(vals) <= vals[-1] - vals[0] + 1:
-        for g in vals:
-            # doubling steps reach every multiple of g up to limit
-            step = g
-            while step <= limit:
-                bits = (bits | bits << step) & mask
-                step <<= 1
-        return bits
-    i = 0
-    while i < len(vals):
-        g = step = vals[i]
-        j = i + 1
-        while j < len(vals) and vals[j] == vals[j - 1] + 1:
-            j += 1
-        width, i = j - i - 1, j
-        # doubling steps reach every sum of the run up to limit
+    for g in elements:
+        # doubling steps reach every multiple of g up to limit
+        step = g
         while step <= limit:
-            shifted, spread = bits << step, 1
-            while spread <= width:  # OR in the shifts by step + 1, ..., step + width
-                k = min(spread, width + 1 - spread)
-                shifted |= shifted << k
-                spread += k
-            bits = (bits | shifted) & mask
-            step, width = step << 1, width << 1
+            bits = (bits | bits << step) & mask
+            step <<= 1
     return bits
 
 

@@ -104,7 +104,7 @@ def m_ab_membership(model: SequenceModel, n: int) -> bool:
     check of n: the model's rules already admit its prices (min >= theta).
     """
     _check_ints((n,), "membership targets")
-    return _membership(model.a_set, tuple(v for v in model.b_set if v), n)
+    return _membership(model.a_set, tuple(v for v in model.b_set if v), n, model.b_set)
 
 
 def m_ab_set(model: SequenceModel, bound: int) -> list[int]:

@@ -28,11 +28,13 @@ candidate before any other work, and a generator tuple is built only
 for a child kept.
 
 These rules hold only for a parent in the family, which is every parent
-enumerate_tree expands.  children judges the children of any other
-parent by the pair test, and only the root can pass: the family is a
-Frobenius pseudo-variety (Robles-Perez and Rosales, Ann. Mat. Pura Appl.
-2015), so a member other than the root is a child of a member, itself
-plus its Frobenius number.
+enumerate_tree expands.  Any other parent can have only the root
+max_numerical_incentive(C) as a child: the family is a Frobenius
+pseudo-variety (Robles-Perez and Rosales, Ann. Mat. Pura Appl. 2015), so
+a member other than the root is a child of a member, itself plus its
+Frobenius number.  children therefore gives such a parent no candidate
+but the multiplicity of {0, theta - 1, ->}, whose removal leaves the
+root {0, theta, ->} (theta >= 3; N is no child at all).
 
 A tree stores its nodes as int columns derived from the parent's, not as
 records (IncentiveTree), and generator tuples live only for the level
@@ -339,7 +341,7 @@ def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int
 
     This is children with every other generator kept, so x is the one
     candidate: the mask rules answer for a semigroup that honours c, and
-    the pair test of the child for any other, where only the root passes.
+    for any other only the root can be the child.
     """
     spec = _as_spec(c)
     _check_removal(sg, x)
@@ -438,17 +440,21 @@ def children(
     x_set, when given, lists elements that must stay inside every node, so
     generators in it are never removed; its values must be plain integers.
     The mask rules hold only for a parent that honours c, as every tree
-    node does; any other parent's children (under {0}) are judged by the
-    pair test, and only the root, max_numerical_incentive(c), can pass.
+    node does.  Any other parent can have only the root as a child, so
+    its one possible candidate is the multiplicity of the root's parent
+    {0, theta - 1, ->}, whose removal needs no mask.
     """
     spec = _as_spec(c)
     required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
-    in_family = is_incentive(sg.msg, spec)
+    shifts = spec.shifts
+    if not is_incentive(sg.msg, spec):
+        # only {0, theta - 1, ->} has a child, the root, by removing its multiplicity
+        root_parent = sg.frobenius < sg.multiplicity == spec.theta - 1
+        shifts, required = (), {*required, *sg.msg.elements[1 if root_parent else 0 :]}
     tree = IncentiveTree(spec.shifts, None, EnumerationBound(MAX_DEPTH, 1))
     tree._plant(sg)
-    _expand(tree, [sg.msg.elements], spec.shifts if in_family else (), required, None, False)
-    kids = [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]
-    return kids if in_family else [k for k in kids if is_incentive(k[1].msg, spec)]
+    _expand(tree, [sg.msg.elements], shifts, required, None, False)
+    return [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]
 
 
 def enumerate_tree(

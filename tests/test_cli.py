@@ -93,11 +93,11 @@ def test_closure_domain_error_exit_1():
     assert err.count("\n") == 1
 
 
-def test_closure_past_the_input_cap_is_refused_by_name():
+def test_closure_past_the_size_cap_is_refused_by_name():
     # 3 + 3 + 2**31 would be a generator past the cap; the message names
     # the seeds and adjustments, not that sum
-    assert cli("closure", "--c=2147483648", "--x=3") == (
-        1, "", "error: closing {3} under {2147483648} adjoins values past the 2**31 cap\n"
+    assert cli("closure", "--c=0,2147483648", "--x=3") == (
+        1, "", "error: closing {3} under {0,2147483648} adjoins values past the closure's size cap\n"
     )
 
 

@@ -26,6 +26,7 @@ from incentives import (
     half_theta_is_incentive,
     is_admissible,
     is_incentive,
+    m_ab_membership,
     membership,
     theta,
     verify_theorem5,
@@ -70,6 +71,8 @@ KNOWN_INCENTIVE = {
     ((4, 6), (-2, 2)): True,
     ((3,), (0,)): True,
     ((4, 5), (1,)): False,  # 5 + 5 + 1, the table's last entry, is the one failing sum
+    ((3, 4, 5), (-3,)): True,  # every residue mod 3: the table stops at 5 - 3
+    ((3, 4, 7), (-1,)): False,  # three elements, but no residue 2 mod 3; 3 + 3 - 1 = 5 fails
 }
 
 
@@ -90,11 +93,15 @@ def test_is_incentive_matches_oracle(gens, cs):
 @given(st.data())
 @settings(max_examples=300)
 def test_is_incentive_matches_the_apery_oracle(data):
-    # gcd 1 and gcd d > 1 generator sets; adjustments near 0, multiples of
-    # d, and up to 2**31 in magnitude, where the table stops at Schur's
-    # bound and pairs past the last non-member are skipped
+    # gcd 1 and gcd d > 1 generator sets, some holding a run a, ..., 2a - 1;
+    # adjustments near 0, multiples of d, and up to 2**31 in magnitude,
+    # where the table stops at Schur's or Selmer's bound and pairs past
+    # the last non-member are skipped
     d = data.draw(st.sampled_from([1, 1, 2, 3, 6]))
     gens = data.draw(st.lists(st.integers(1, 30).map(lambda g: g * d), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(1, 12))
+        gens += [g * d for g in range(a, 2 * a)]
     adjustment = (
         st.integers(-13, 13)
         | st.integers(-13, 13).map(lambda k: k * d)
@@ -135,17 +142,23 @@ def test_is_incentive_is_bounded_in_time_and_memory(call):
     assert float(seconds) < 2
 
 
-def test_closure_past_the_input_cap_names_its_inputs():
-    # 3 + 3 + 2**31 would be a generator past the cap; the refusal names
-    # the seeds and adjustments, at the caller's scale, not that sum
-    cap = " adjoins values past the 2**31 cap"
+def test_closure_past_the_size_cap_names_its_inputs():
+    # 3 + 3 + 2**31 would be a generator past 2**31, 5 + 5 + 2**30 one past
+    # the 2**24 table cap, and 8 * 2**29 (seeds and adjustments at gcd
+    # 2**29) a scaled generator past 2**31; each refusal names the
+    # admitted seeds and the constraint set as given, not that value
+    cap = " adjoins values past the closure's size cap"
     for call, text in [
         (lambda: closure_msg({3}, {2**31}), "closing {3} under {2147483648}"),
-        (lambda: closure_msg({0, 4}, {0, 2**31}), "closing {4} under {2147483648}"),
+        (lambda: closure_msg({0, 4}, {0, 2**31}), "closing {4} under {0,2147483648}"),
         (lambda: closure_msg({6, 9}, {-3, 2**31 - 2}), "closing {6,9} under {-3,2147483646}"),
-        (lambda: closure_membership({3}, {2**31}, 2 * 10**6), "closing {3} under {2147483648}"),
+        (lambda: closure_msg({5}, {2**30}), "closing {5} under {1073741824}"),
+        (lambda: closure_msg({3 * 2**29}, {2**30}), "closing {1610612736} under {1073741824}"),
+        (lambda: closure_membership({3}, {0, 2**31}, 2 * 10**6), "closing {3} under {0,2147483648}"),
+        (lambda: m_ab_membership(SequenceModel.of({3}, {0, 2**31}), 2 * 10**6),
+         "closing {3} under {0,2147483648}"),
         (lambda: verify_theorem5(SequenceModel.of({3}, {0, 2**31}), 10),
-         "closing {3} under {2147483648}"),
+         "closing {3} under {0,2147483648}"),
     ]:
         with pytest.raises(BoundTooLarge) as exc:
             call()

@@ -222,18 +222,6 @@ def test_bitmask_is_linear():
     assert time.perf_counter() - start < 1.0
 
 
-@given(
-    st.lists(st.tuples(st.integers(1, 40), st.integers(0, 12)), min_size=1, max_size=4),
-    st.integers(0, 250),
-)
-@settings(max_examples=150)
-def test_generated_sets_of_runs_match_the_oracle(runs, limit):
-    # consecutive elements are added as one run, in any order
-    elems = sorted({v for start, width in runs for v in range(start, start + width + 1)})
-    assert _generated(elems, limit) == _bitmask(oracle_members(elems, limit))
-    assert _generated(elems[::-1], limit) == _generated(elems, limit)
-
-
 def test_generated_set_ceiling():
     assert _generated((2**24,), 2**24) == 1 | 1 << 2**24
     # doubling from 2 * 4101 overshoots 2**24, so the last try is the ceiling

@@ -311,17 +311,27 @@ def test_mask_verdicts_match_the_pair_test_at_its_corners(data):
     assert [x for x, _ in children(sg, cs)] == want
 
 
-def test_a_parent_outside_the_family_is_judged_by_the_pair_test():
+def test_a_parent_outside_the_family_can_have_only_the_root_as_a_child():
     # <3,5,7> fails {-2} (3 + 3 - 2 = 4); its child <3,7,8> fails too,
     # and the x - c rule alone would pass it
     sg = numerical_semigroup((3, 5, 7))
     assert msg_after_removal(sg, 5).elements == (3, 7, 8)
     assert not child_viable(sg, 5, {-2})
     assert children(sg, {-2}) == []
-    # {0, 3, ->} fails {-4}; minus 3 it is {0, 4, ->}, the root for {-4}
+    # {0, 3, ->} fails {-4}; minus 3 it is {0, 4, ->}, the root for {-4},
+    # unless 3 must stay
     assert children(numerical_semigroup((3, 4, 5)), {-4}) == [
         (3, max_numerical_incentive({-4}))
     ]
+    assert children(numerical_semigroup((3, 4, 5)), {-4}, x_set=(3,)) == []
+    # no child of a large parent is built or tested: the {-4097} root
+    # has 4,097 candidates, and under {1} only N, no child, qualifies
+    root = max_numerical_incentive({-4097})
+    wide = numerical_semigroup((3, 2**20 + 1, 2**20 + 2))
+    with _time_budget(1.0):
+        assert children(root, {-4098}) == [(4097, max_numerical_incentive({-4098}))]
+        assert children(root, {-8192}) == []
+        assert children(wide, {1}) == []
 
 
 @given(st.data())
