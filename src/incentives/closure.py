@@ -270,6 +270,15 @@ def closure_msg(x_set: Iterable[int], c: IncentiveSpec | Iterable[int]) -> Closu
     return ClosureResult(MULTIPLE, scale, scaled, ns)
 
 
+def _past_cap(given: tuple[tuple[int, ...], ...]) -> BoundTooLarge:
+    """The refusal of a closure too large to build; given is (seeds, c_set) as admitted."""
+    seeds, c_set = given
+    return BoundTooLarge(
+        f"closing {_braced(seeds)} under {_braced(c_set)} "
+        "adjoins values past the closure's size cap"
+    )
+
+
 def _fixpoint(
     xs: tuple[int, ...], cs: tuple[int, ...], cap: int, given: tuple[tuple[int, ...], ...]
 ) -> NumericalSemigroup:
@@ -281,12 +290,15 @@ def _fixpoint(
     small seeds stabilize within a handful of rounds.
 
     A value to adjoin above cap raises BoundTooLarge naming given, the
-    admitted seeds and the constraint set as the caller gave it.  The
-    seeds and adjustments share no divisor, so every round's set has gcd
-    1 and msg would need a generated set up to its largest value: cap is
-    at most _GENERATED_CEILING, and closure_msg also keeps its scaled
-    generators within 2**31.
+    admitted seeds and the constraint set as the caller gave it, and so
+    do seeds whose largest value, over their own gcd (which msg divides
+    out), is above cap.  The seeds and adjustments share no divisor, so
+    every round's set has gcd 1 and msg would need a generated set up to
+    its largest value: cap is at most _GENERATED_CEILING, and closure_msg
+    also keeps its scaled generators within 2**31.
     """
+    if xs[-1] // math.gcd(*xs) > cap:
+        raise _past_cap(given)
     y = msg(GenSet(xs)).elements
     seen_sums: set[int] = set()
     for _ in range(ITERATION_CAP):
@@ -301,11 +313,7 @@ def _fixpoint(
                         f"pair sum {e} plus adjustment {cc} went negative during closure"
                     )
                 if v > cap:
-                    seeds, c_set = given
-                    raise BoundTooLarge(
-                        f"closing {_braced(seeds)} under {_braced(c_set)} "
-                        "adjoins values past the closure's size cap"
-                    )
+                    raise _past_cap(given)
                 if v:
                     z.add(v)
         new_y = msg(monoid_from_generators(z)).elements

@@ -17,15 +17,18 @@ exactly when no other non-multiplicity generator n_j has x + m - n_j
 inside the parent.  The rule is one mask per parent, ok, whose bit x
 says x passes every c but -m (the seeds technique of Bras-Amoros and
 Fernandez-Gonzalez, Math. Comp. 87, 2018): for c > 0, x - c < x is a gap
-or generator of the parent, or x <= c, so ok &= (gaps | gen_bits) << c |
-(1 << (c + 1)) - 1, and a c at or above the largest generator passes
-every x and is never shifted; for c < 0, x - c > x is a member, so it
+or generator of the parent, or x <= c, so ok &= ~(~(gaps | gen_bits | 1)
+<< c) (the inverted shift sets every bit below c, and bit 0 stands for
+x = c), and a c at or above the largest generator passes every x and is
+never shifted; for c < 0, x - c > x is a member, so it
 must be a child generator, which for -c != m means a parent generator:
 ok &= gen_bits >> -c; and c = -m passes exactly when x + m is new.  The
 parent {0, m, ->} honours C only if theta <= m + 1, so its child {0,
-m + 1, ->} always does, and ok keeps bit m.  A clear bit skips the
-candidate before any other work, and a generator tuple is built only
-for a child kept.
+m + 1, ->} always does, and ok keeps bit m.  The candidates are read off
+the set bits of ok above the Frobenius number, lowest first, so one the
+mask rejects costs no step; seeds, which must stay, are looked up in a
+frozenset after the mask (a seed mask would need 2**31 bits for a seed
+at 2**31).  A generator tuple is built only for a child kept.
 
 These rules hold only for a parent in the family, which is every parent
 enumerate_tree expands.  Any other parent can have only the root
@@ -38,7 +41,11 @@ root {0, theta, ->} (theta >= 3; N is no child at all).
 
 A tree stores its nodes as int columns derived from the parent's, not as
 records (IncentiveTree), and generator tuples live only for the level
-being expanded and the one being built.  TreeNode views build a
+being expanded and the one being built.  A level whose nodes the bound
+leaves no room for children (the next depth's frobenius_limit is -2,
+under max_genus or max_depth) is built as columns alone; the pass after
+it, which only decides truncated, rebuilds a parent's tuple from
+gen_bits when its scan reaches it.  TreeNode views build a
 NumericalSemigroup (through _derived, which keeps the three bit
 invariants) only when asked, so a tree holds no GC-tracked object per node.
 
@@ -48,7 +55,8 @@ msg_after_removal call children with every other generator as a seed,
 so x is the one candidate; arguments are validated at these public
 edges only.  Nodes of level d have genus root_genus + d and depth d, so
 frobenius_limit, the one form of the bound rule, settles the bound once
-per level.  The verdict only turns from admitted to rejected as x grows,
+per level, and enumerate_tree carries each level's limit to the next
+pass.  The verdict only turns from admitted to rejected as x grows,
 so a parent's scan stops at its first viable x past the limit (which
 marks the tree truncated) and, once the tree is truncated, at its first
 x past the limit, skipping a parent with no candidate below it and a
@@ -81,7 +89,8 @@ _BOUND_KINDS = (MAX_FROBENIUS, MAX_GENUS, MAX_DEPTH)
 BRUTE_FORCE_CEILING = 18
 # largest threshold whose root {0, theta, ->} is built.  At 2**16 the root
 # takes about 3 ms, and testing its theta removals on 2*theta-bit masks
-# about 0.5 s, growing quadratically (0.06 s at 2**14; Python 3.11, one core)
+# about 0.3 s, growing quadratically (0.03 s at 2**14; Python 3.11, one
+# core of a shared 2-core VM)
 ROOT_THETA_CEILING = 2**16
 
 
@@ -349,24 +358,33 @@ def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int
 
 
 def _expand(
-    tree: IncentiveTree, level: list[tuple[int, ...]], shifts: tuple[int, ...],
-    required: Collection[int], limit: int | None, truncated: bool,
-) -> tuple[bool, list[tuple[int, ...]]]:
+    tree: IncentiveTree, level: Iterable[Sequence[int]] | None, shifts: tuple[int, ...],
+    required: Collection[int], limit: int | None, truncated: bool, build: bool,
+) -> tuple[bool, list[tuple[int, ...]] | None]:
     """Expand the tree's last level; append kept children to the columns.
 
-    level holds the generator tuples of the tree's last len(level)
-    nodes, the parents, each of which honours the adjustments shifts; a
-    parent's candidates are its generators above its Frobenius number,
-    ascending, minus those in required.  limit is the level's
+    level holds the generator tuples of the tree's last level, the
+    parents, each of which honours the adjustments shifts; None has each
+    parent's rebuilt from its gen_bits when the scan reaches it.  A
+    parent's candidates are the set bits of its mask above its Frobenius
+    number, lowest first, minus those in required.  limit is the level's
     frobenius_limit (None: no bound).  Returns whether the tree is
-    truncated and the kept children's generator tuples, the next level.
-    The scan, its stops, the mask and the closed form are in the module
-    docstring.
+    truncated and, when build is set, the kept children's generator
+    tuples, the next level: the generator index moves forward from the
+    first generator past the Frobenius number to each kept x.  Without
+    build the children are appended as columns alone and None is
+    returned.  The scan, its stops, the mask and the closed form are in
+    the module docstring.
     """
     gap_col, gen_col = tree.gap_bits, tree.gen_bits
     parent_col, removed_col = tree.parent_ids, tree.removed
+    first = tree.level_offsets[-2]
+    if level is None:
+        level = map(_ascending, gen_col[first:])
+    offsets = [-c for c in shifts if c < 0]  # |c| of each c < 0
+    lifts = [c for c in shifts if c > 0]
     kept: list[tuple[int, ...]] = []
-    for p, elems in enumerate(level, len(gap_col) - len(level)):
+    for p, elems in enumerate(level, first):
         gaps = gap_col[p]
         frobenius = gaps.bit_length() - 1
         if limit is None:
@@ -382,54 +400,64 @@ def _expand(
         rest = elems[1:]
         # bit x of ok: generator x passes every adjustment but -m
         need_new = False  # is -m in C?
-        for c in shifts:
-            if c < 0:
-                if c == -m:
-                    need_new = True
-                else:
-                    ok &= gen_bits >> -c
-            elif c < elems[-1]:  # a larger c passes every candidate x <= c
-                ok &= (gaps | gen_bits) << c | (1 << (c + 1)) - 1
+        for d in offsets:
+            if d == m:
+                need_new = True
+            else:
+                ok &= gen_bits >> d
+        if lifts:
+            outside = ~(gaps | gen_bits | 1)  # bit v > 0: v is a member but no generator
+            for c in lifts:
+                if c < elems[-1]:  # a larger c passes every candidate x <= c
+                    ok &= ~(outside << c)
         if frobenius < m:
             ok |= 1 << m  # the parent is {0, m, ->}, and minus m it still honours C
-        for i in range(bisect_right(elems, frobenius), len(elems)):
-            x = elems[i]
-            if not ok >> x & 1 or x in required:
+        i = bisect_right(elems, frobenius)
+        # the candidates: the set bits of ok above frobenius, lowest first
+        todo, x = ok >> (frobenius + 1), frobenius
+        while todo:
+            step = (todo & -todo).bit_length()
+            todo >>= step
+            x += step
+            if x in required:
                 continue
             fits = x <= fit  # x is the child's Frobenius number
             if not fits and truncated:
                 break
             top = x + m
-            if i:
-                bits = gen_bits ^ 1 << x
+            if x != m:
                 # every generator is at most frobenius + m < x + m, so
                 # x + m - n_j is positive; x + m is new unless some other
                 # non-multiplicity generator n_j leaves it a member
+                new = 1
                 for nj in rest:
                     if nj != x and not gaps >> (top - nj) & 1:
+                        new = 0
                         break
-                else:
-                    bits |= 1 << top
-                if need_new and not bits >> top & 1:
+                if need_new and not new:
                     continue
+                bits = gen_bits ^ 1 << x | new << top  # new: x + m is a generator
             else:
                 # the parent is {0, m, ->}; minus m it has m+1, ..., 2m+1
                 bits = ((1 << (m + 1)) - 1) << (m + 1)
             if not fits:
                 truncated = True
                 break
-            if i:
-                gens = elems[:i] + elems[i + 1 :]
-                if bits >> top & 1:
-                    gens += (top,)
-            else:
-                gens = tuple(range(m + 1, 2 * m + 2))
-            kept.append(gens)
+            if build:
+                if x != m:
+                    while elems[i] != x:
+                        i += 1
+                    gens = elems[:i] + elems[i + 1 :]
+                    if new:
+                        gens += (top,)
+                else:
+                    gens = tuple(range(m + 1, 2 * m + 2))
+                kept.append(gens)
             gap_col.append(gaps | 1 << x)
             gen_col.append(bits)
             parent_col.append(p)
             removed_col.append(x)
-    return truncated, kept
+    return truncated, kept if build else None
 
 
 def children(
@@ -453,7 +481,7 @@ def children(
         shifts, required = (), {*required, *sg.msg.elements[1 if root_parent else 0 :]}
     tree = IncentiveTree(spec.shifts, None, EnumerationBound(MAX_DEPTH, 1))
     tree._plant(sg)
-    _expand(tree, [sg.msg.elements], shifts, required, None, False)
+    _expand(tree, [sg.msg.elements], shifts, required, None, False, build=False)
     return [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]
 
 
@@ -495,15 +523,22 @@ def enumerate_tree(
     root = max_numerical_incentive(spec)
     tree._plant(root)
     required = frozenset(xs or ())
-    # breadth-first: each pass expands the level the last one built
-    level = [root.msg.elements]
-    while level:
-        depth = tree.max_depth + 1  # the depth of the children this pass builds
-        limit = bound.frobenius_limit(root_genus + depth, depth)
-        tree.truncated, level = _expand(tree, level, spec.shifts, required, limit, tree.truncated)
-        if level:
-            tree.level_offsets.append(tree.node_count)
-    return tree
+    # breadth-first: each pass expands the level the last one built, under
+    # the limit of its children, and reads the limit of their children to
+    # leave a level that can have none as columns alone
+    level: list[tuple[int, ...]] | None = [root.msg.elements]
+    limit = bound.frobenius_limit(root_genus + 1, 1)
+    while True:
+        depth = tree.max_depth + 2  # the depth of the grandchildren
+        next_limit = bound.frobenius_limit(root_genus + depth, depth)
+        size = tree.node_count
+        tree.truncated, level = _expand(
+            tree, level, spec.shifts, required, limit, tree.truncated, build=next_limit != -2
+        )
+        if tree.node_count == size:
+            return tree
+        tree.level_offsets.append(tree.node_count)
+        limit = next_limit
 
 
 def is_finite_family(c: IncentiveSpec | Iterable[int], x_set: Iterable[int]) -> bool:

@@ -185,7 +185,8 @@ def test_tree_dot():
 
 
 # sha256 of stdout for the tree command lines of the CLI benchmark
-# (bench/workloads.py, Cli.TREES), in each output format
+# (bench/workloads.py, Cli.TREES), in each output format, and for the
+# fixed trees of the tree benchmark (Tree.FIXED) as JSON
 TREE_OUTPUT_SHA256 = {
     ("-3,2", 12, "text"): "44ff58f78234aab93fd4f5dc7daa642931d1879f9e623cfdf0bbfd3c89e34723",
     ("-3,2", 12, "json"): "3275209a29365b3f8d2317c34470c11fe8683635dabf73051a6c5ae221d96761",
@@ -199,6 +200,11 @@ TREE_OUTPUT_SHA256 = {
     ("-7,3", 14, "text"): "c5eb0969f2d4f57ec7916c0c302e4fd21998f3ecbcca52860e4a6f3982e0f1bf",
     ("-7,3", 14, "json"): "4bca5e75e83590f610d3273c3cb49d5e5010c3022634accf1ad82d0a17a5cf91",
     ("-7,3", 14, "dot"): "f952248c741efe30de595b63fba0bf260db41cfa3b209cf47f29161e5952f569",
+    ("0", 18, "json"): "e973d3c1fb1f96b0aaac2ebb82e46cf27b028b8196032065e6ad43e4493194e8",
+    ("-3,2", 19, "json"): "00aacf04126594a66b25e64c3b490b560b793dadf046c7ac863912571a129008",
+    ("5", 18, "json"): "03e9d9ada50fd5a44eeda9ddd51de3a2e5eb965b23ef0cbb3d1358ea5d0d7cb5",
+    ("-7,3", 20, "json"): "884dab5f9225a04800a48419abad3c42976676fea5267502c4c6d579c804d791",
+    ("-5,1,4", 20, "json"): "4b2ada2a74e42d7d40e9ed5656063dd70cff632827f0ae4961c98f0d0341c712",
 }
 
 

@@ -145,9 +145,11 @@ def test_is_incentive_is_bounded_in_time_and_memory(call):
 def test_closure_past_the_size_cap_names_its_inputs():
     # 3 + 3 + 2**31 would be a generator past 2**31, 5 + 5 + 2**30 one past
     # the 2**24 table cap, and 8 * 2**29 (seeds and adjustments at gcd
-    # 2**29) a scaled generator past 2**31; each refusal names the
+    # 2**29) a scaled generator past 2**31, and coprime seeds past 2**24
+    # need a table past that cap before any round; each refusal names the
     # admitted seeds and the constraint set as given, not that value
     cap = " adjoins values past the closure's size cap"
+    big = {2**24 + 1, 2**24 + 3}
     for call, text in [
         (lambda: closure_msg({3}, {2**31}), "closing {3} under {2147483648}"),
         (lambda: closure_msg({0, 4}, {0, 2**31}), "closing {4} under {0,2147483648}"),
@@ -159,10 +161,14 @@ def test_closure_past_the_size_cap_names_its_inputs():
          "closing {3} under {0,2147483648}"),
         (lambda: verify_theorem5(SequenceModel.of({3}, {0, 2**31}), 10),
          "closing {3} under {0,2147483648}"),
+        (lambda: closure_msg(big, {0}), "closing {16777217,16777219} under {0}"),
+        (lambda: closure_membership(big, {0}, 2 * 10**6), "closing {16777217,16777219} under {0}"),
     ]:
         with pytest.raises(BoundTooLarge) as exc:
             call()
         assert str(exc.value) == text + cap
+    # the seeds' own gcd is divided out first: {1, 2**24} fits the table
+    assert closure_msg({2, 2**25}, {1}).msg.elements == (2, 5)
 
 
 def test_half_theta_known_values():

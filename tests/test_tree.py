@@ -181,11 +181,14 @@ def test_large_root_expands_on_masks():
         ("enumerate_tree((-3, 2**31), None, EnumerationBound('max_genus', 8)).level_sizes",
          "[1, 2, 2, 4, 6, 8, 14]"),  # the sizes of {-3}'s tree
         ("child_viable(numerical_semigroup((3, 4, 5)), 4, (2**31,))", "True"),
+        ("enumerate_tree((-3, 2), (2**31,), EnumerationBound('max_genus', 8)).level_sizes",
+         "[1, 2, 2, 3, 5, 6, 11]"),  # a seed is looked up, never put in a mask
     ],
 )
 def test_an_adjustment_past_every_generator_is_never_shifted(call, result):
     # c = 2**31 passes every candidate x <= c; shifting a mask by it would
-    # build 256 MiB ints for a single parent, more than the 512 MiB cap allows
+    # build 256 MiB ints for a single parent, more than the 512 MiB cap
+    # allows, and so would a mask of seeds holding 2**31
     script = "\n".join(
         [
             "import resource, time",
@@ -910,6 +913,17 @@ def test_bound_settled_from_parent_matches_reference():
                 else:
                     rows, truncated = _reference_tree(cs_d, xs_d, bound)
                 assert (_rows(tree), tree.truncated) == (rows, truncated), (bound, cs, xs, d)
+    # a finite family whose deepest genus is 9: under max_genus 9 its leaf
+    # level is built without generator tuples and the pass after it finds
+    # no child, so the tree is whole; one genus lower that pass finds one
+    cs, xs = (-4, 6), (4, 9)
+    assert enumerate_tree(cs, xs, EnumerationBound(MAX_GENUS, None)).nodes[-1].semigroup.genus == 9
+    for value, truncated in ((9, False), (8, True)):
+        bound = EnumerationBound(MAX_GENUS, value)
+        tree = enumerate_tree(cs, xs, bound)
+        assert tree.truncated is truncated
+        assert tree.nodes[-1].semigroup.genus == value
+        assert (_rows(tree), tree.truncated) == _reference_tree(cs, xs, bound)
 
 
 @pytest.mark.parametrize(
