@@ -5,6 +5,12 @@ default with --format=json (and =dot for trees) as machine forms.  Exit
 status 0 means success, 1 a domain error (reported in one line on
 standard error) or a failed verification, 2 a usage error.  All output
 for a fixed command line is byte-deterministic.
+
+A command line is parsed once, by the leaf parser of the command its
+first one or two words name (``theta``, ``mab invoice``); ``build_parser``
+records the leaves while it builds the root parser.  A line that names no
+leaf, or that the leaf does not consume whole, goes to the root parser,
+so every usage line, help text and error is the one a root parse prints.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import sys
 from typing import IO
 
 from .closure import (
+    _DP_CEILING,
     MULTIPLE,
     TRIVIAL,
     ClosureResult,
@@ -26,7 +33,7 @@ from .closure import (
     is_incentive,
     theta,
 )
-from .errors import DomainError
+from .errors import BoundTooLarge, DomainError
 from .monoid import MAX_INPUT, membership
 from .sequences import SequenceModel, invoice, m_ab_membership, m_ab_set, verify_theorem5
 from .tree import (
@@ -82,49 +89,64 @@ def _bound_from(ns: argparse.Namespace) -> EnumerationBound:
     return EnumerationBound(MAX_GENUS, ns.max_genus if ns.max_genus is not None else 20)
 
 
+# the parser of each command with no sub-action, by its command path
+# ("theta", or "mab", "invoice"); build_parser fills it
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built once per process and shared by every caller.
+    """The command's root parser, built once per process and shared by every caller.
 
-    Parsing leaves it unchanged. Do not modify the returned parser (``set_defaults``,
-    ``add_argument``, ``prog``): the change would carry into every later ``run``.
+    Building it also records each leaf parser (a command with no
+    sub-action: ``theta``, ..., ``mab invoice``, ``verify tree``) in
+    ``_LEAVES`` by its command path, so ``run`` can hand a command line
+    straight to the parser of the command it names.  Parsing leaves
+    every parser unchanged. Do not modify the returned parser
+    (``set_defaults``, ``add_argument``, ``prog``): the change would
+    carry into every later ``run``.
     """
+
+    def leaf(sub, *path: str, help: str) -> argparse.ArgumentParser:
+        _LEAVES[path] = sp = sub.add_parser(path[-1], help=help)
+        return sp
+
     p = argparse.ArgumentParser(
         prog="incentives",
         description="Monoids of invoice totals under adjustment constraints.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("theta", help="offset threshold of a constraint set")
+    sp = leaf(sub, "theta", help="offset threshold of a constraint set")
     sp.add_argument("--c", type=parse_seq, required=True)
 
-    sp = sub.add_parser("admissible", help="can any qualifying monoid contain the seeds?")
+    sp = leaf(sub, "admissible", help="can any qualifying monoid contain the seeds?")
     sp.add_argument("--c", type=parse_seq, required=True)
     sp.add_argument("--x", type=parse_seq, required=True)
 
-    sp = sub.add_parser("check-incentive", help="does the monoid of --gens honour --c?")
+    sp = leaf(sub, "check-incentive", help="does the monoid of --gens honour --c?")
     sp.add_argument("--gens", type=parse_seq, required=True)
     sp.add_argument("--c", type=parse_seq, required=True)
 
-    sp = sub.add_parser("closure", help="smallest qualifying monoid containing the seeds")
+    sp = leaf(sub, "closure", help="smallest qualifying monoid containing the seeds")
     sp.add_argument("--c", type=parse_seq, required=True)
     sp.add_argument("--x", type=parse_seq, required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = sub.add_parser("membership", help="membership of --n in a monoid or closure")
+    sp = leaf(sub, "membership", help="membership of --n in a monoid or closure")
     sp.add_argument("--n", type=_bounded_int, required=True)
     sp.add_argument("--gens", type=parse_seq)
     sp.add_argument("--c", type=parse_seq)
     sp.add_argument("--x", type=parse_seq)
     sp.set_defaults(usage_error=sp.error)
 
-    sp = sub.add_parser("tree", help="tree of numerical semigroups honouring --c")
+    sp = leaf(sub, "tree", help="tree of numerical semigroups honouring --c")
     sp.add_argument("--c", type=parse_seq, required=True)
     sp.add_argument("--x", type=parse_seq)
     _add_bound_flags(sp)
     sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    sp = sub.add_parser("decompose", help="slice all qualifying monoids by gcd divisor")
+    sp = leaf(sub, "decompose", help="slice all qualifying monoids by gcd divisor")
     sp.add_argument("--c", type=parse_seq, required=True)
     sp.add_argument("--x", type=parse_seq)
     _add_bound_flags(sp)
@@ -132,15 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     mab = sub.add_parser("mab", help="purchase/adjustment sequence model")
     mabsub = mab.add_subparsers(dest="action", required=True)
-    sp = mabsub.add_parser("invoice", help="total of one sequence")
+    sp = leaf(mabsub, "mab", "invoice", help="total of one sequence")
     sp.add_argument("--a", type=parse_seq, required=True)
     sp.add_argument("--b", type=parse_seq, required=True)
     sp.add_argument("--seq", type=parse_seq, required=True)
-    sp = mabsub.add_parser("member", help="is --n an achievable total?")
+    sp = leaf(mabsub, "mab", "member", help="is --n an achievable total?")
     sp.add_argument("--a", type=parse_seq, required=True)
     sp.add_argument("--b", type=parse_seq, required=True)
     sp.add_argument("--n", type=_bounded_int, required=True)
-    sp = mabsub.add_parser("set", help="achievable totals up to --bound")
+    sp = leaf(mabsub, "mab", "set", help="achievable totals up to --bound")
     sp.add_argument("--a", type=parse_seq, required=True)
     sp.add_argument("--b", type=parse_seq, required=True)
     sp.add_argument("--bound", type=_nonneg_int, required=True)
@@ -148,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="cross-checks between independent engines")
     versub = ver.add_subparsers(dest="action", required=True)
-    sp = versub.add_parser("theorem5", help="sequence totals equal the closure")
+    sp = leaf(versub, "verify", "theorem5", help="sequence totals equal the closure")
     sp.add_argument("--a", type=parse_seq, required=True)
     sp.add_argument("--b", type=parse_seq, required=True)
     sp.add_argument("--bound", type=_nonneg_int, required=True)
-    sp = versub.add_parser("tree", help="tree enumeration equals brute force")
+    sp = leaf(versub, "verify", "tree", help="tree enumeration equals brute force")
     sp.add_argument("--c", type=parse_seq, required=True)
     sp.add_argument("--max-frobenius", type=_nonneg_int, required=True)
-    sp = versub.add_parser("closure-agreement", help="both closure engines agree")
+    sp = leaf(versub, "verify", "closure-agreement", help="both closure engines agree")
     sp.add_argument("--c", type=parse_seq, required=True)
     sp.add_argument("--x", type=parse_seq, required=True)
     sp.add_argument("--bound", type=_nonneg_int, required=True)
@@ -279,27 +301,50 @@ def _dispatch(ns: argparse.Namespace) -> int:
                 print(_fmt_vals(vals))
         return 0
 
-    if cmd == "verify":
-        if ns.action == "theorem5":
-            ok = verify_theorem5(SequenceModel.of(ns.a, ns.b), ns.bound)
-        elif ns.action == "tree":
-            tree = enumerate_tree(
-                ns.c, None, EnumerationBound(MAX_FROBENIUS, ns.max_frobenius)
-            )
-            ok = {n.semigroup.msg.elements for n in tree.nodes} == set(
-                brute_force_family(ns.c, ns.max_frobenius)
-            )
-        else:
-            closure = closure_msg(ns.x, ns.c)
-            ok = all(
-                closure_membership(ns.x, ns.c, n) == closure.member(n)
-                for n in range(ns.bound + 1)
-            )
-        print(f"verified: {_bool_text(ok)}")
-        return 0 if ok else 1
+    # the last of the required command choices: verify
+    if ns.action == "theorem5":
+        ok = verify_theorem5(SequenceModel.of(ns.a, ns.b), ns.bound)
+    elif ns.action == "tree":
+        tree = enumerate_tree(
+            ns.c, None, EnumerationBound(MAX_FROBENIUS, ns.max_frobenius)
+        )
+        ok = {n.semigroup.msg.elements for n in tree.nodes} == set(
+            brute_force_family(ns.c, ns.max_frobenius)
+        )
+    else:
+        if ns.bound > _DP_CEILING:
+            # past it each closure_membership call runs a whole fixpoint
+            raise BoundTooLarge(f"closure-agreement bounds are capped at 10**6, got {ns.bound}")
+        closure = closure_msg(ns.x, ns.c)
+        ok = all(
+            closure_membership(ns.x, ns.c, n) == closure.member(n)
+            for n in range(ns.bound + 1)
+        )
+    print(f"verified: {_bool_text(ok)}")
+    return 0 if ok else 1
 
-    build_parser().error(f"unknown command {cmd!r}")
-    return 2
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the leaf parser its first one or two words name.
+
+    A leaf sets the ``command`` and ``action`` values the root would
+    have set, so one parser reads the line.  Every other line goes to
+    the root parser, which prints its usage, help and errors as always:
+    no argv, an unknown word, a root ``-h``, ``mab`` alone, or arguments
+    the leaf left over.
+    """
+    root = build_parser()
+    words = tuple(argv[:2]) if argv else ()
+    for depth in (1, 2):
+        path = words[:depth]
+        leaf = _LEAVES.get(path)
+        if leaf is not None:
+            ns, rest = leaf.parse_known_args(
+                argv[depth:], argparse.Namespace(**dict(zip(("command", "action"), path)))
+            )
+            if not rest:
+                return ns
+    return root.parse_args(argv)
 
 
 def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> int:
@@ -308,7 +353,7 @@ def run(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | None =
     err = stderr if stderr is not None else sys.stderr
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return _dispatch(build_parser().parse_args(argv))
+            return _dispatch(_parse(argv))
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         except DomainError as exc:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -12,6 +14,7 @@ import pytest
 from incentives import (
     MAX_DEPTH,
     MAX_GENUS,
+    DomainError,
     EnumerationBound,
     NotAdmissible,
     closure_membership,
@@ -19,7 +22,7 @@ from incentives import (
     decompose,
     enumerate_tree,
 )
-from incentives.cli import build_parser, parse_seq, run
+from incentives.cli import _dispatch, build_parser, parse_seq, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -297,6 +300,21 @@ def test_output_is_deterministic():
         assert cli(*argv) == cli(*argv)
 
 
+def test_verify_closure_agreement_bound_above_ceiling_is_refused_first(monkeypatch):
+    import incentives.cli as cli_mod
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a closure was computed")
+
+    monkeypatch.setattr(cli_mod, "closure_msg", no_closure)
+    monkeypatch.setattr(cli_mod, "closure_membership", no_closure)
+    assert cli("verify", "closure-agreement", "--c=-3,2", "--x=5", f"--bound={10**6 + 1}") == (
+        1,
+        "",
+        "error: closure-agreement bounds are capped at 10**6, got 1000001\n",
+    )
+
+
 def test_verify_closure_agreement_builds_closure_once(monkeypatch):
     import incentives.cli as cli_mod
 
@@ -375,6 +393,114 @@ def test_defaults_do_not_leak_between_calls():
     # a bound flag of one call is not the bound of the next
     assert cli("tree", "--c=-3,2", "--max-depth=1")[1].endswith("nodes=3 truncated=true\n")
     assert cli("tree", "--c=-3,2", "--max-genus=2")[1].endswith("nodes=1 truncated=true\n")
+
+
+# one valid command line per leaf command
+VALID_LINES = [
+    ("theta", "--c=-3,2"),
+    ("admissible", "--c=-4,6", "--x=2,8"),
+    ("check-incentive", "--gens=3,7,8", "--c=-3,2"),
+    ("closure", "--c=-3,2", "--x=5", "--format=json"),
+    ("membership", "--gens=5,7,9", "--n=14"),
+    ("tree", "--c=-3,2", "--x=5", "--max-depth=10"),
+    ("decompose", "--c=-4,6", "--max-genus=4", "--format=json"),
+    ("mab", "invoice", "--a=3,5", "--b=0,-2,4", "--seq=3,0,5"),
+    ("mab", "member", "--a=5,7,9,11", "--b=-3,0,2", "--n=9"),
+    ("mab", "set", "--a=5,7,9,11", "--b=-3,0,2", "--bound=14"),
+    ("verify", "theorem5", "--a=5,7,9,11", "--b=-3,0,2", "--bound=60"),
+    ("verify", "tree", "--c=-3,2", "--max-frobenius=7"),
+    ("verify", "closure-agreement", "--c=-3,2", "--x=5", "--bound=80"),
+]
+
+
+def _path(line):
+    """The command path of a line: its first word, or two under mab and verify."""
+    return line[: 2 if line[0] in ("mab", "verify") else 1]
+
+
+# command lines whose parsing a leaf parser and the root parser must
+# answer alike: help, usage errors at both levels, '--', abbreviations
+PARSE_CORPUS = [
+    *VALID_LINES,
+    *[_path(line) + ("-h",) for line in VALID_LINES],
+    (),
+    ("-h",),
+    ("--bogus",),
+    ("-h", "theta"),
+    ("nonsense",),
+    ("theta",),
+    ("theta", "--c=abc"),
+    ("theta", "--c=-3,2", "--bogus"),
+    ("theta", "--c=-3,2", "extra"),
+    ("theta", "--", "--c=1"),
+    ("theta", "--he"),
+    ("closure", "--c=-3,2", "--x=5", "--form=json"),
+    ("closure", "--c=-3,2", "--x=5", "--format=xml"),
+    ("closure", "--c=-4", "--x=3"),
+    ("membership", "--n=4"),
+    ("membership", "--n=4", "--gens=2,3", "--c=-1"),
+    ("membership", "--n=-1", "--gens=2,3"),
+    ("tree", "--c=-2", "--max-genus=3", "--max-depth=1"),
+    ("tree", "--c=-3,2", "--max-genus=-1"),
+    ("tree", "--c=-3,2", "--max-genus=3", "--max-genus=4"),
+    ("mab",),
+    ("mab", "-h"),
+    ("mab", "bogus"),
+    ("mab", "--a=3", "invoice"),
+    ("mab", "invoice", "--a=3,5", "--b=0"),
+    ("mab", "invoice", "--a=3,5", "--bogus"),
+    ("mab", "invoice", "--a=3,5", "--b=0", "--seq=3", "--bogus"),
+    ("mab", "set", "--a=5,7", "--b=-3,0", f"--bound={2**31 + 1}"),
+    ("verify",),
+    ("verify", "tree", "--c=-3,2"),
+    ("verify", "closure-agreement", "--c=-3,2", "--x=5", f"--bound={10**6 + 1}"),
+]
+
+
+def _root_parsed(argv):
+    """The reference: the root parser reads the whole line, then dispatch."""
+    try:
+        return _dispatch(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _redirected(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = call(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_run_answers_like_the_root_parser(argv):
+    assert _redirected(run, argv) == _redirected(_root_parsed, argv)
+
+
+def test_parse_corpus_reaches_every_exit_status():
+    codes = {_redirected(run, argv)[0] for argv in PARSE_CORPUS}
+    assert codes == {0, 1, 2}
+    code, out, err = _redirected(run, ("theta", "--c=-3,2", "--bogus"))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "incentives: error: unrecognized arguments: --bogus"
+
+
+@pytest.mark.parametrize("argv", VALID_LINES, ids=" ".join)
+def test_a_valid_line_is_parsed_once(argv, monkeypatch):
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert cli(*argv)[0] == 0
+    assert calls == ["incentives " + " ".join(_path(argv))]
+
 
 def _module_run(*argv):
     env = dict(os.environ)
