@@ -193,8 +193,10 @@ def msg(gens: GenSet | Iterable[int]) -> GenSet:
     """Minimal system of generators of the monoid the input generates.
 
     A generator survives iff it is not a sum of two non-zero members; the
-    survivors are the unique minimal generating set.  Generators with a
-    common divisor d are minimized at scale 1/d and scaled back, which
+    survivors are the unique minimal generating set.  Every non-zero
+    member is at least the smallest generator m, so the pair scan for v
+    starts at m, and each v < 2m survives without one.  Generators with
+    a common divisor d are minimized at scale 1/d and scaled back, which
     keeps the tables small.
     """
     g = _as_genset(gens)
@@ -206,10 +208,11 @@ def msg(gens: GenSet | Iterable[int]) -> GenSet:
         reduced = msg(GenSet(tuple(e // d for e in elems)))
         return GenSet(tuple(e * d for e in reduced.elements))
     table = _byte_table(_generated(elems, elems[-1]), elems[-1] + 1)
+    m = elems[0]
     keep = tuple(
         v
         for v in elems
-        if not any(table[a] and table[v - a] for a in range(1, v // 2 + 1))
+        if not any(table[a] and table[v - a] for a in range(m, v // 2 + 1))
     )
     return GenSet(keep)
 

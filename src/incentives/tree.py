@@ -60,9 +60,11 @@ pass.  The verdict only turns from admitted to rejected as x grows,
 so a parent's scan stops at its first viable x past the limit (which
 marks the tree truncated) and, once the tree is truncated, at its first
 x past the limit, skipping a parent with no candidate below it and a
-level whose limit admits none.  A bound that excludes the root gives an
-empty tree without building it; without a bound value only a finite
-family (is_finite_family) is enumerated.
+level whose limit admits none.  A parent whose kept children would
+hold more generators than _CHILDREN_CEILING raises BoundTooLarge, in
+children and enumerate_tree alike.  A bound that excludes the root
+gives an empty tree without building it; without a bound value only a
+finite family (is_finite_family) is enumerated.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Collection, Iterable
 
-from .closure import IncentiveSpec, _admitted, _as_spec, is_incentive
+from .closure import IncentiveSpec, _admitted, _as_spec, _braced, is_incentive
 from .errors import BoundTooLarge, DomainError, InvalidRemoval, RootMissesX
 from .monoid import GenSet, NumericalSemigroup, _ascending, _int_set
 
@@ -92,6 +94,13 @@ BRUTE_FORCE_CEILING = 18
 # about 0.3 s, growing quadratically (0.03 s at 2**14; Python 3.11, one
 # core of a shared 2-core VM)
 ROOT_THETA_CEILING = 2**16
+# most generator values one parent's kept children may hold, counted as
+# the children times the parent's generators (one child is always kept).
+# children's records cost about 39 bytes a value: under {0} the children
+# of {0, 2**10, ->} (2**20 values) peak at 56 MB in 0.11 s, those of
+# {0, 2**11, ->} (2**22) at 178 MB in 0.55 s (Python 3.11, one core of a
+# shared 2-core VM)
+_CHILDREN_CEILING = 2**21
 
 
 @dataclass(frozen=True)
@@ -373,8 +382,10 @@ def _expand(
     tuples, the next level: the generator index moves forward from the
     first generator past the Frobenius number to each kept x.  Without
     build the children are appended as columns alone and None is
-    returned.  The scan, its stops, the mask and the closed form are in
-    the module docstring.
+    returned.  Each child holds about as many generators as its parent,
+    so a parent that would keep more children than _CHILDREN_CEILING
+    allows raises BoundTooLarge.  The scan, its stops, the mask and the
+    closed form are in the module docstring.
     """
     gap_col, gen_col = tree.gap_bits, tree.gen_bits
     parent_col, removed_col = tree.parent_ids, tree.removed
@@ -383,6 +394,7 @@ def _expand(
         level = map(_ascending, gen_col[first:])
     offsets = [-c for c in shifts if c < 0]  # |c| of each c < 0
     lifts = [c for c in shifts if c > 0]
+    ceiling = _CHILDREN_CEILING
     kept: list[tuple[int, ...]] = []
     for p, elems in enumerate(level, first):
         gaps = gap_col[p]
@@ -413,6 +425,9 @@ def _expand(
         if frobenius < m:
             ok |= 1 << m  # the parent is {0, m, ->}, and minus m it still honours C
         i = bisect_right(elems, frobenius)
+        # the children this parent may keep: it has at most len(elems) <= m,
+        # so only a parent with m * m past the ceiling can run out
+        room = m if m * m <= ceiling else ceiling // len(elems) or 1
         # the candidates: the set bits of ok above frobenius, lowest first
         todo, x = ok >> (frobenius + 1), frobenius
         while todo:
@@ -443,6 +458,13 @@ def _expand(
             if not fits:
                 truncated = True
                 break
+            if not room:
+                raise BoundTooLarge(
+                    f"the children of ⟨{m},...,{elems[-1]}⟩ ({len(elems)} generators, "
+                    f"Frobenius number {frobenius}) under {_braced(tree.c_set)} would hold more "
+                    f"than {ceiling} generators, the cap on one parent's children"
+                )
+            room -= 1
             if build:
                 if x != m:
                     while elems[i] != x:
@@ -470,7 +492,9 @@ def children(
     The mask rules hold only for a parent that honours c, as every tree
     node does.  Any other parent can have only the root as a child, so
     its one possible candidate is the multiplicity of the root's parent
-    {0, theta - 1, ->}, whose removal needs no mask.
+    {0, theta - 1, ->}, whose removal needs no mask.  A parent whose
+    children would hold more generators than _CHILDREN_CEILING allows
+    raises BoundTooLarge before any child record is built.
     """
     spec = _as_spec(c)
     required = () if x_set is None else frozenset(_int_set(x_set, "seed elements"))
@@ -479,7 +503,7 @@ def children(
         # only {0, theta - 1, ->} has a child, the root, by removing its multiplicity
         root_parent = sg.frobenius < sg.multiplicity == spec.theta - 1
         shifts, required = (), {*required, *sg.msg.elements[1 if root_parent else 0 :]}
-    tree = IncentiveTree(spec.shifts, None, EnumerationBound(MAX_DEPTH, 1))
+    tree = IncentiveTree(spec.c_set, None, EnumerationBound(MAX_DEPTH, 1))
     tree._plant(sg)
     _expand(tree, [sg.msg.elements], shifts, required, None, False, build=False)
     return [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]

@@ -1,10 +1,6 @@
-import os
 import random
-import subprocess
-import sys
 import time
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +27,8 @@ from incentives import (
     theta,
     verify_theorem5,
 )
+from capped import run_capped
 from oracles import honours, oracle_closure_member, oracle_is_incentive
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_spec_and_theta():
@@ -119,25 +114,15 @@ def test_is_incentive_matches_the_apery_oracle(data):
 def test_is_incentive_is_bounded_in_time_and_memory(call):
     # a table to 2 * 5 + 2**31 would need 2 GiB, and the pair scan of
     # {0, 2**16, ->} 2**31 steps; both answer True within 2 s under 512 MiB
-    script = "\n".join(
+    got, seconds = run_capped(
+        2**29,
         [
-            "import resource, time",
-            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))",
             "from incentives import is_incentive",
             "start = time.perf_counter()",
             f"print({call})",
             "print(time.perf_counter() - start)",
-        ]
+        ],
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    got, seconds = proc.stdout.splitlines()
     assert got == "True"
     assert float(seconds) < 2
 

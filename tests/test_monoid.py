@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +19,8 @@ from incentives import (
     numerical_semigroup,
 )
 from incentives.monoid import _bitmask, _generated
+from capped import run_capped
 from oracles import oracle_members, oracle_msg
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_genset_validation():
@@ -79,6 +74,24 @@ def test_msg_known_values():
 @settings(max_examples=150)
 def test_msg_matches_oracle(gens):
     assert list(msg(tuple(gens)).elements) == oracle_msg(gens)
+
+
+@st.composite
+def _gens_across_twice_the_multiplicity(draw):
+    """m, then generators in [m, 3m] holding 2m or 2m + 1, times d in {1, 2, 3}."""
+    m = draw(st.integers(min_value=2, max_value=60))
+    edge = draw(st.sampled_from((2 * m, 2 * m + 1)))
+    rest = draw(st.sets(st.integers(min_value=m + 1, max_value=3 * m), max_size=6))
+    d = draw(st.sampled_from((1, 2, 3)))
+    return sorted(d * v for v in {m, edge, *rest})
+
+
+@given(_gens_across_twice_the_multiplicity())
+@settings(max_examples=150)
+def test_msg_scan_floor_matches_oracle(gens):
+    # the pair scan starts at the multiplicity, so values below 2m are
+    # kept unscanned and 2m itself is the first sum a scan can find
+    assert list(msg(gens).elements) == oracle_msg(gens)
 
 
 @given(
@@ -257,27 +270,34 @@ def test_numerical_semigroup_refusal_names_the_semigroup():
 def test_huge_generated_sets_are_refused_before_allocating(call):
     # the tables these calls would need (2-4 GiB) cannot fit under the
     # 1 GiB address-space cap, so only a refusal up front passes
-    script = "\n".join(
+    out = run_capped(
+        2**30,
         [
-            "import resource, time",
-            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))",
             "from incentives import BoundTooLarge, closure, monoid",
             "start = time.perf_counter()",
             "try:",
             f"    {call}",
             "except BoundTooLarge:",
             "    print(time.perf_counter() - start)",
-        ]
+        ],
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    assert float(out[0]) < 2
+
+
+def test_msg_at_the_table_ceiling_needs_no_scan():
+    # both generators lie below twice the multiplicity, so the 2**24-entry
+    # table is built and no pair is scanned (1.0-1.9 s with a scan from 1)
+    out = run_capped(
+        2**29,
+        [
+            "from incentives import monoid",
+            "start = time.perf_counter()",
+            "print(monoid.msg((2**24 - 1, 2**24)).elements)",
+            "print(time.perf_counter() - start)",
+        ],
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 2
+    assert out[0] == "(16777215, 16777216)"
+    assert float(out[1]) < 1
 
 
 def test_genset_validation_messages():

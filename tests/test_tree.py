@@ -2,14 +2,10 @@ import gc
 import hashlib
 import json
 import math
-import os
 import signal
-import subprocess
-import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,9 +39,9 @@ from incentives import (
     msg_after_removal,
     numerical_semigroup,
 )
+from capped import run_capped
 from oracles import kunz_counts
 
-ROOT = Path(__file__).resolve().parent.parent
 
 SIX_CONSTRAINT_SETS = [(-3, 2), (-1, 1), (-2,), (-4, 6), (-2, 3), (1,)]
 
@@ -189,27 +185,77 @@ def test_an_adjustment_past_every_generator_is_never_shifted(call, result):
     # c = 2**31 passes every candidate x <= c; shifting a mask by it would
     # build 256 MiB ints for a single parent, more than the 512 MiB cap
     # allows, and so would a mask of seeds holding 2**31
-    script = "\n".join(
+    got, seconds = run_capped(
+        2**29,
         [
-            "import resource, time",
-            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))",
             "from incentives import EnumerationBound, child_viable, enumerate_tree, numerical_semigroup",
             "start = time.perf_counter()",
             f"print({call})",
             "print(time.perf_counter() - start)",
-        ]
+        ],
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    got, seconds = proc.stdout.splitlines()
     assert got == result
     assert float(seconds) < 1
+
+
+def test_children_of_a_huge_parent_are_refused_before_any_record():
+    # under {0} every generator of {0, 2**16, ->} is kept, and each child
+    # holds about 2**16 generators: some 160 GB in all, refused after 32
+    # children.  Under its own C the same parent has two children, and the
+    # single removals have one candidate; all keep answering under the cap
+    out = run_capped(
+        2**29,
+        [
+            "from incentives import BoundTooLarge, child_viable, children, "
+            "max_numerical_incentive, msg_after_removal",
+            "th = 2**16",
+            "root = max_numerical_incentive((-th,))",
+            "start = time.perf_counter()",
+            "try:",
+            "    children(root, (0,))",
+            "except BoundTooLarge as e:",
+            "    print(e)",
+            "print(time.perf_counter() - start)",
+            "start = time.perf_counter()",
+            "print([x for x, _ in children(root, (-th,))])",
+            "print(child_viable(root, th + 1, (-th,)), child_viable(root, th + 2, (-th,)))",
+            "print(len(msg_after_removal(root, th + 5)))",
+            "print(time.perf_counter() - start)",
+        ],
+    )
+    assert out[0] == (
+        "the children of ⟨65536,...,131071⟩ (65536 generators, Frobenius number 65535) "
+        "under {0} would hold more than 2097152 generators, the cap on one parent's children"
+    )
+    assert float(out[1]) < 0.5
+    assert out[2:5] == ["[65536, 65537]", "True False", "65535"]
+    assert float(out[5]) < 5
+
+
+def test_children_ceiling_counts_kept_children_times_generators(monkeypatch):
+    # {0, 1449, ->} keeps all 1449 children of 1449 generators under {0},
+    # past 2**21, but only two under its own C
+    big = max_numerical_incentive((-1449,))
+    with pytest.raises(BoundTooLarge, match=r"^the children of ⟨1449,\.\.\.,2897⟩ "):
+        children(big, (0,))
+    assert [x for x, _ in children(big, (-1449,))] == [1449, 1450]
+    # seeds are no children: under a ceiling of 12, {0, 4, ->} (4 x 4)
+    # is refused, and answered with its multiplicity kept (3 x 4)
+    monkeypatch.setattr(tree_mod, "_CHILDREN_CEILING", 12)
+    small = max_numerical_incentive((-4,))
+    with pytest.raises(BoundTooLarge, match=r"under \{0\} would hold more than 12 generators, the cap on one parent's children$"):
+        children(small, (0,))
+    assert [x for x, _ in children(small, (0,), (4,))] == [5, 6, 7]
+    # one child is always kept, however many generators it holds
+    monkeypatch.setattr(tree_mod, "_CHILDREN_CEILING", 2)
+    assert msg_after_removal(small, 5).elements == (4, 6, 7, 9)
+    assert child_viable(small, 5, (-4,))
+    with pytest.raises(BoundTooLarge, match=r"more than 2 generators"):
+        children(small, (0,), (4, 5))
+    # enumerate_tree expands with the same rule: {0, 3, ->} has 3 children
+    monkeypatch.setattr(tree_mod, "_CHILDREN_CEILING", 6)
+    with pytest.raises(BoundTooLarge, match=r"^the children of ⟨3,\.\.\.,5⟩ .* under \{0\} would hold more than 6 "):
+        enumerate_tree((0,), None, EnumerationBound(MAX_DEPTH, 3))
 
 
 def test_single_removals_build_one_child(monkeypatch):
