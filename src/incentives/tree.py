@@ -14,9 +14,17 @@ out of IncentiveSpec.shifts, the adjustments scanned).  The child's
 generators come from a closed form: {0, m, ->} minus m has {m+1, ...,
 2m+1}; otherwise the only candidate new generator is x + m, needed
 exactly when no other non-multiplicity generator n_j has x + m - n_j
-inside the parent.  The rule is one mask per parent, ok, whose bit x
-says x passes every c but -m (the seeds technique of Bras-Amoros and
-Fernandez-Gonzalez, Math. Comp. 87, 2018): for c > 0, x - c < x is a gap
+inside the parent.  That test is one mask expression.  Each node of the
+level being expanded carries its reversed gap mask rev, whose bit k is
+set iff F - k is a gap: (1 << F) - 1 at the root {0, theta, ->}, 0 at
+N.  A child's is rev << (x - F) | 1, since its Frobenius number is x
+and x is its one new gap; shifted by m, its bit n says x + m - n is a
+gap of the child (bit m: x itself), so x + m is new iff the parent's
+generators other than x have no bit outside it.  The root's rev, and
+that of the one parent children expands, are the binary digits of the
+gap mask reversed.  The viability rule is one mask per parent, ok, whose
+bit x says x passes every c but -m (the seeds technique of Bras-Amoros
+and Fernandez-Gonzalez, Math. Comp. 87, 2018): for c > 0, x - c < x is a gap
 or generator of the parent, or x <= c, so ok &= ~(~(gaps | gen_bits | 1)
 << c) (the inverted shift sets every bit below c, and bit 0 stands for
 x = c), and a c at or above the largest generator passes every x and is
@@ -28,7 +36,9 @@ m + 1, ->} always does, and ok keeps bit m.  The candidates are read off
 the set bits of ok above the Frobenius number, lowest first, so one the
 mask rejects costs no step; seeds, which must stay, are looked up in a
 frozenset after the mask (a seed mask would need 2**31 bits for a seed
-at 2**31).  A generator tuple is built only for a child kept.
+at 2**31).  The scan reads only masks: m is the lowest set bit of
+gen_bits, the largest generator its highest, and the generator count,
+which only the children ceiling needs, its bit count.
 
 These rules hold only for a parent in the family, which is every parent
 enumerate_tree expands.  Any other parent can have only the root
@@ -40,12 +50,8 @@ but the multiplicity of {0, theta - 1, ->}, whose removal leaves the
 root {0, theta, ->} (theta >= 3; N is no child at all).
 
 A tree stores its nodes as int columns derived from the parent's, not as
-records (IncentiveTree), and generator tuples live only for the level
-being expanded and the one being built.  A level whose nodes the bound
-leaves no room for children (the next depth's frobenius_limit is -2,
-under max_genus or max_depth) is built as columns alone; the pass after
-it, which only decides truncated, rebuilds a parent's tuple from
-gen_bits when its scan reaches it.  TreeNode views build a
+records (IncentiveTree), and reversed gap masks live only for the level
+being expanded and the one being built.  TreeNode views build a
 NumericalSemigroup (through _derived, which keeps the three bit
 invariants) only when asked, so a tree holds no GC-tracked object per node.
 
@@ -55,12 +61,11 @@ msg_after_removal call children with every other generator as a seed,
 so x is the one candidate; arguments are validated at these public
 edges only.  Nodes of level d have genus root_genus + d and depth d, so
 frobenius_limit, the one form of the bound rule, settles the bound once
-per level, and enumerate_tree carries each level's limit to the next
-pass.  The verdict only turns from admitted to rejected as x grows,
-so a parent's scan stops at its first viable x past the limit (which
-marks the tree truncated) and, once the tree is truncated, at its first
-x past the limit, skipping a parent with no candidate below it and a
-level whose limit admits none.  A parent whose kept children would
+per level, before the pass that builds it.  The verdict only turns from
+admitted to rejected as x grows, so a parent's scan stops at its first
+viable x past the limit (which marks the tree truncated) and, once the
+tree is truncated, at its first x past the limit, skipping a parent
+with no candidate below it and a level whose limit admits none.  A parent whose kept children would
 hold more generators than _CHILDREN_CEILING raises BoundTooLarge, in
 children and enumerate_tree alike.  A bound that excludes the root
 gives an empty tree without building it; without a bound value only a
@@ -366,50 +371,49 @@ def child_viable(sg: NumericalSemigroup, x: int, c: IncentiveSpec | Iterable[int
     return bool(children(sg, spec, [g for g in sg.msg.elements if g != x]))
 
 
+def _reversed_gaps(gaps: int) -> int:
+    """The reversed gap mask of a semigroup: bit k is set iff F - k is a gap."""
+    return int(bin(gaps)[:1:-1], 2)
+
+
 def _expand(
-    tree: IncentiveTree, level: Iterable[Sequence[int]] | None, shifts: tuple[int, ...],
-    required: Collection[int], limit: int | None, truncated: bool, build: bool,
-) -> tuple[bool, list[tuple[int, ...]] | None]:
+    tree: IncentiveTree, revs: Iterable[int], shifts: tuple[int, ...],
+    required: Collection[int], limit: int | None, truncated: bool,
+) -> tuple[bool, list[int]]:
     """Expand the tree's last level; append kept children to the columns.
 
-    level holds the generator tuples of the tree's last level, the
-    parents, each of which honours the adjustments shifts; None has each
-    parent's rebuilt from its gen_bits when the scan reaches it.  A
-    parent's candidates are the set bits of its mask above its Frobenius
-    number, lowest first, minus those in required.  limit is the level's
-    frobenius_limit (None: no bound).  Returns whether the tree is
-    truncated and, when build is set, the kept children's generator
-    tuples, the next level: the generator index moves forward from the
-    first generator past the Frobenius number to each kept x.  Without
-    build the children are appended as columns alone and None is
-    returned.  Each child holds about as many generators as its parent,
-    so a parent that would keep more children than _CHILDREN_CEILING
-    allows raises BoundTooLarge.  The scan, its stops, the mask and the
-    closed form are in the module docstring.
+    The parents are the nodes of the tree's last level, each of which
+    honours the adjustments shifts, and revs holds their reversed gap
+    masks in node order.  A parent's candidates are the set bits of its
+    mask above its Frobenius number, lowest first, minus those in
+    required.  limit is the level's frobenius_limit (None: no bound).
+    Returns whether the tree is truncated and the kept children's
+    reversed gap masks, the next level's revs.  Each child holds about as
+    many generators as its parent, so a parent that would keep more
+    children than _CHILDREN_CEILING allows raises BoundTooLarge.  The
+    scan, its stops, the masks and the closed form are in the module
+    docstring.
     """
     gap_col, gen_col = tree.gap_bits, tree.gen_bits
     parent_col, removed_col = tree.parent_ids, tree.removed
-    first = tree.level_offsets[-2]
-    if level is None:
-        level = map(_ascending, gen_col[first:])
     offsets = [-c for c in shifts if c < 0]  # |c| of each c < 0
     lifts = [c for c in shifts if c > 0]
     ceiling = _CHILDREN_CEILING
-    kept: list[tuple[int, ...]] = []
-    for p, elems in enumerate(level, first):
+    child_revs: list[int] = []
+    for p, rev in enumerate(revs, tree.level_offsets[-2]):
         gaps = gap_col[p]
         frobenius = gaps.bit_length() - 1
+        gen_bits = ok = gen_col[p]
+        largest = gen_bits.bit_length() - 1
         if limit is None:
-            fit = elems[-1]  # no candidate lies past the largest generator
+            fit = largest  # no candidate lies past the largest generator
         elif truncated and limit <= frobenius:
             if limit < 0:
                 break  # no parent of this level can have a child
             continue  # every candidate x > frobenius lies past the bound
         else:
             fit = limit
-        m = elems[0]
-        gen_bits = ok = gen_col[p]
-        rest = elems[1:]
+        m = (gen_bits & -gen_bits).bit_length() - 1
         # bit x of ok: generator x passes every adjustment but -m
         need_new = False  # is -m in C?
         for d in offsets:
@@ -420,14 +424,13 @@ def _expand(
         if lifts:
             outside = ~(gaps | gen_bits | 1)  # bit v > 0: v is a member but no generator
             for c in lifts:
-                if c < elems[-1]:  # a larger c passes every candidate x <= c
+                if c < largest:  # a larger c passes every candidate x <= c
                     ok &= ~(outside << c)
         if frobenius < m:
             ok |= 1 << m  # the parent is {0, m, ->}, and minus m it still honours C
-        i = bisect_right(elems, frobenius)
-        # the children this parent may keep: it has at most len(elems) <= m,
+        # the children this parent may keep: it has at most m generators,
         # so only a parent with m * m past the ceiling can run out
-        room = m if m * m <= ceiling else ceiling // len(elems) or 1
+        room = m if m * m <= ceiling else ceiling // gen_bits.bit_count() or 1
         # the candidates: the set bits of ok above frobenius, lowest first
         todo, x = ok >> (frobenius + 1), frobenius
         while todo:
@@ -439,19 +442,16 @@ def _expand(
             fits = x <= fit  # x is the child's Frobenius number
             if not fits and truncated:
                 break
-            top = x + m
+            child_rev = rev << (x - frobenius) | 1
             if x != m:
-                # every generator is at most frobenius + m < x + m, so
-                # x + m - n_j is positive; x + m is new unless some other
-                # non-multiplicity generator n_j leaves it a member
-                new = 1
-                for nj in rest:
-                    if nj != x and not gaps >> (top - nj) & 1:
-                        new = 0
-                        break
-                if need_new and not new:
+                bits = gen_bits ^ 1 << x
+                # bit n of child_rev << m: x + m - n is a gap of the child
+                # (bit m: x itself), so x + m is new iff no other generator n
+                # leaves x + m - n a member
+                if not bits & ~(child_rev << m):
+                    bits |= 1 << x + m
+                elif need_new:
                     continue
-                bits = gen_bits ^ 1 << x | new << top  # new: x + m is a generator
             else:
                 # the parent is {0, m, ->}; minus m it has m+1, ..., 2m+1
                 bits = ((1 << (m + 1)) - 1) << (m + 1)
@@ -460,26 +460,17 @@ def _expand(
                 break
             if not room:
                 raise BoundTooLarge(
-                    f"the children of ⟨{m},...,{elems[-1]}⟩ ({len(elems)} generators, "
+                    f"the children of ⟨{m},...,{largest}⟩ ({gen_bits.bit_count()} generators, "
                     f"Frobenius number {frobenius}) under {_braced(tree.c_set)} would hold more "
                     f"than {ceiling} generators, the cap on one parent's children"
                 )
             room -= 1
-            if build:
-                if x != m:
-                    while elems[i] != x:
-                        i += 1
-                    gens = elems[:i] + elems[i + 1 :]
-                    if new:
-                        gens += (top,)
-                else:
-                    gens = tuple(range(m + 1, 2 * m + 2))
-                kept.append(gens)
             gap_col.append(gaps | 1 << x)
             gen_col.append(bits)
             parent_col.append(p)
             removed_col.append(x)
-    return truncated, kept if build else None
+            child_revs.append(child_rev)
+    return truncated, child_revs
 
 
 def children(
@@ -505,7 +496,7 @@ def children(
         shifts, required = (), {*required, *sg.msg.elements[1 if root_parent else 0 :]}
     tree = IncentiveTree(spec.c_set, None, EnumerationBound(MAX_DEPTH, 1))
     tree._plant(sg)
-    _expand(tree, [sg.msg.elements], shifts, required, None, False, build=False)
+    _expand(tree, [_reversed_gaps(sg.gap_bits)], shifts, required, None, False)
     return [(n.removed_generator, n.semigroup) for n in tree.nodes[1:]]
 
 
@@ -548,21 +539,16 @@ def enumerate_tree(
     tree._plant(root)
     required = frozenset(xs or ())
     # breadth-first: each pass expands the level the last one built, under
-    # the limit of its children, and reads the limit of their children to
-    # leave a level that can have none as columns alone
-    level: list[tuple[int, ...]] | None = [root.msg.elements]
-    limit = bound.frobenius_limit(root_genus + 1, 1)
+    # the limit of its children
+    revs = [_reversed_gaps(root.gap_bits)]
     while True:
-        depth = tree.max_depth + 2  # the depth of the grandchildren
-        next_limit = bound.frobenius_limit(root_genus + depth, depth)
+        depth = tree.max_depth + 1  # the depth of the children
+        limit = bound.frobenius_limit(root_genus + depth, depth)
         size = tree.node_count
-        tree.truncated, level = _expand(
-            tree, level, spec.shifts, required, limit, tree.truncated, build=next_limit != -2
-        )
+        tree.truncated, revs = _expand(tree, revs, spec.shifts, required, limit, tree.truncated)
         if tree.node_count == size:
             return tree
         tree.level_offsets.append(tree.node_count)
-        limit = next_limit
 
 
 def is_finite_family(c: IncentiveSpec | Iterable[int], x_set: Iterable[int]) -> bool:

@@ -171,6 +171,40 @@ def test_large_root_expands_on_masks():
     assert tree.nodes[1].semigroup.msg.elements == tuple(range(th + 1, 2 * th + 2))
 
 
+def _msg_bits_from_gaps(gaps):
+    """Generator mask of the semigroup with gap mask gaps, by a sum test alone.
+
+    The non-zero members up to F + 2m + 1 that are no sum of two of them;
+    every minimal generator is at most F + m.
+    """
+    m = 1
+    while gaps >> m & 1:
+        m += 1
+    top = gaps.bit_length() + 2 * m  # F + 2m + 1
+    members = ~gaps & ((1 << top + 1) - 2)
+    sums = 0
+    for a in range(m, top + 1):
+        if members >> a & 1:
+            sums |= members << a
+    return members & ~sums
+
+
+def test_long_reversed_masks_give_every_generator():
+    # each child's x + m test reads its parent's reversed gap mask shifted
+    # by x + m - F; a shift off by one gains or loses generators
+    tree = enumerate_tree((-7, 3), None, EnumerationBound(MAX_GENUS, 24))
+    assert tree.node_count == 16452
+    assert tree.gen_bits == [_msg_bits_from_gaps(g) for g in tree.gap_bits]
+    parent = max_numerical_incentive((-300,))
+    sizes = []
+    for cs in [(0,), (-300,), (-299, 7)]:
+        kids = children(parent, cs)
+        sizes.append(len(kids))
+        for _, sg in kids:
+            assert sg.gen_bits == _msg_bits_from_gaps(sg.gap_bits)
+    assert sizes == [300, 2, 1]
+
+
 @pytest.mark.parametrize(
     "call, result",
     [
@@ -1060,21 +1094,23 @@ def test_bound_is_settled_once_per_level(monkeypatch, cs):
 
 
 def test_viability_scans_are_pinned(monkeypatch):
-    # parents scanned (one bisection, and for C != {0} one mask, each)
-    # and candidates past the mask (each looked up in the seed set)
+    # parents scanned (for C != {0} one mask, then one room check against
+    # the children ceiling, each) and candidates past the mask (each
+    # looked up in the seed set)
     counts = {"parents": 0, "candidates": 0}
-    bisect_right = tree_mod.bisect_right
 
-    def scanning(*args):
-        counts["parents"] += 1
-        return bisect_right(*args)
+    class Ceiling(int):
+        # m * m <= ceiling calls the subclass's reflected __ge__ first
+        def __ge__(self, other):
+            counts["parents"] += 1
+            return int.__ge__(self, other)
 
     class Seeds(frozenset):
         def __contains__(self, x):
             counts["candidates"] += 1
             return frozenset.__contains__(self, x)
 
-    monkeypatch.setattr(tree_mod, "bisect_right", scanning)
+    monkeypatch.setattr(tree_mod, "_CHILDREN_CEILING", Ceiling(tree_mod._CHILDREN_CEILING))
     monkeypatch.setattr(tree_mod, "frozenset", Seeds, raising=False)
     # scanning the frontier parent by parent once the tree is truncated
     # would scan its 85 deepest nodes and test candidates the bound
